@@ -83,6 +83,10 @@ class TruncatedFile(BreathSentinelError):
     """Model file ended in the middle of a field."""
 
 
+class CorruptModel(BreathSentinelError):
+    """Model file is framed correctly but its contents are invalid."""
+
+
 class IoError(BreathSentinelError):
     """Filesystem operation failed while writing generated data."""
 

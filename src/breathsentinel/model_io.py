@@ -8,7 +8,7 @@ Layout (all integers unsigned 32-bit little-endian):
         rank, then one dim per rank, then values as IEEE-754 float32
         little-endian in row-major order
     metadata byte length, then that many bytes of UTF-8 "key=value"
-    lines sorted by key
+    lines sorted by key, and nothing after them
 
 Values are stored as float32; loading widens them back to float64
 exactly, so save -> load -> save reproduces the file byte for byte.
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autoencoder, rnn
-from .errors import BadMagic, TruncatedFile, VersionMismatch
+from .errors import BadMagic, CorruptModel, TruncatedFile, VersionMismatch
 
 MAGIC = b"BSM1"
 FORMAT_VERSION = 1
@@ -103,14 +103,24 @@ def load_model(path) -> ModelBundle:
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
 
     meta_len = reader.u32("metadata length")
-    meta_raw = reader.take(meta_len, "metadata").decode("utf-8")
+    meta_bytes = reader.take(meta_len, "metadata")
+    trailing = len(reader.data) - reader.pos
+    if trailing:
+        raise CorruptModel(f"{path}: {trailing} unexpected bytes after the metadata")
+    try:
+        meta_raw = meta_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptModel(f"{path}: metadata is not valid UTF-8 ({exc})") from exc
     metadata = {}
     for line in meta_raw.splitlines():
         key, _, value = line.partition("=")
         metadata[key] = value
 
-    ae_params = autoencoder.AEParams.from_dict(
-        {name.split(".", 1)[1]: arr for name, arr in tensors.items() if name.startswith("ae.")})
-    rnn_params = rnn.RNNParams.from_dict(
-        {name.split(".", 1)[1]: arr for name, arr in tensors.items() if name.startswith("rnn.")})
+    try:
+        ae_params = autoencoder.AEParams.from_dict(
+            {name.split(".", 1)[1]: arr for name, arr in tensors.items() if name.startswith("ae.")})
+        rnn_params = rnn.RNNParams.from_dict(
+            {name.split(".", 1)[1]: arr for name, arr in tensors.items() if name.startswith("rnn.")})
+    except ValueError as exc:
+        raise CorruptModel(f"{path}: {exc}") from exc
     return ModelBundle(ae=ae_params, rnn=rnn_params, metadata=metadata)

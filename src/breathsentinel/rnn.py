@@ -18,7 +18,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import dsp
-from .autoencoder import AEParams, _glorot, encode_batch
+from .autoencoder import AEParams, _glorot, _sigmoid, encode_batch
 from .errors import DivergedLoss, EmptyEvalSet, NonFiniteActivation
 from .optim import AdagradState, adagrad_step, clip_gradients
 
@@ -118,15 +118,6 @@ def init_rnn(seed, hidden: int = HIDDEN_DEFAULT) -> RNNParams:
         w_hy=_glorot(rng, hidden, N_CLASSES),
         b_y=np.zeros(N_CLASSES),
     )
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _forward_codes(params: RNNParams, codes: np.ndarray):

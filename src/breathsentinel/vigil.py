@@ -11,6 +11,7 @@ fixed threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -46,6 +47,10 @@ class IntervalSeries:
     Inhale events append a new interval (gap since the previous inhale)
     and exhale events only refresh the last-breath clock; both feed the
     arrest test, but the trend test runs on full breath cycles only.
+
+    `mean` and `sd` (sample sd, ddof=1) describe the buffered intervals.
+    They change only when an interval is appended, so they are computed
+    there rather than on every arrest tick; `sd` is NaN below 2 intervals.
     """
 
     def __init__(self, capacity: int = INTERVAL_WINDOW_DEFAULT):
@@ -55,6 +60,8 @@ class IntervalSeries:
         self._intervals: deque[float] = deque(maxlen=capacity)
         self.last_breath_time: float | None = None
         self._last_inhale: float | None = None
+        self.mean = math.nan
+        self.sd = math.nan
 
     def __len__(self) -> int:
         return len(self._intervals)
@@ -69,6 +76,10 @@ class IntervalSeries:
         if event.kind == "inhale":
             if self._last_inhale is not None:
                 self._intervals.append(event.time - self._last_inhale)
+                xs = self.intervals()
+                self.mean = float(xs.mean())
+                if xs.size > 1:
+                    self.sd = float(xs.std(ddof=1))
             self._last_inhale = event.time
         self.last_breath_time = event.time
         return self
@@ -131,10 +142,16 @@ def _t_cdf(t: float, df: int) -> float:
     return 1.0 - 0.5 * _betainc_reg(0.5 * df, 0.5, x)
 
 
+# A run asks for two p values (arrest and trend) with df below the config's
+# interval_window cap of 200, so at most 398 pairs: this bound never evicts.
+@functools.lru_cache(maxsize=512)
 def t_quantile(p: float, df: int) -> float:
     """Upper quantile of Student's t, found by bisection on the CDF.
 
     Valid for p in (0.5, 1) and df >= 1; absolute error at most 1e-6.
+    Memoized per (p, df): the alarms ask for the same few pairs on every
+    tick. A call outside the domain raises every time, since exceptions
+    are not cached; `t_quantile.__wrapped__` is the uncached bisection.
     """
     if not 0.5 < p < 1.0:
         raise DomainError(f"p must be in (0.5, 1), got {p}")
@@ -193,13 +210,12 @@ def arrest_check(series: IntervalSeries, now: float,
     intervals exist. Monotone in `now`: once it alerts, any later call on
     the same series alerts too.
     """
-    xs = series.intervals()
-    if xs.size < min_intervals or series.last_breath_time is None:
+    n = len(series)
+    if n < min_intervals or series.last_breath_time is None:
         return None
-    mean = float(xs.mean())
-    sd = float(xs.std(ddof=1))
-    quantile = t_quantile(0.5 + ci_level / 2.0, xs.size - 1)
-    bound = max(mean + quantile * sd, mean + floor)
+    quantile = t_quantile(0.5 + ci_level / 2.0, n - 1)
+    mean = series.mean
+    bound = max(mean + quantile * series.sd, mean + floor)
     elapsed = now - series.last_breath_time
     if elapsed > bound:
         return Alert(kind="arrest", time=now, statistic=elapsed, threshold=bound)

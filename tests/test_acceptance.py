@@ -33,6 +33,9 @@ except ImportError:  # pragma: no cover - then timings use ambient threading
     def threadpool_limits(n):
         return nullcontext()
 
+
+pytestmark = pytest.mark.acceptance
+
 DESK_SEED = 7
 
 

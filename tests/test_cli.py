@@ -138,6 +138,36 @@ def test_monitor_runs_on_wav(untrained_model, tmp_path, capsys):
                      "--input", str(wav)]) == 0
 
 
+def _monitor_with_model_bytes(data: bytes, tmp_path, capsys) -> str:
+    model = tmp_path / "damaged.bsm"
+    model.write_bytes(data)
+    wav = tmp_path / "quiet.wav"
+    dsp.write_wav(wav, np.zeros(8192 * 4))
+    assert cli.main(["monitor", "--model", str(model), "--input", str(wav)]) == 1
+    return capsys.readouterr().err
+
+
+def test_monitor_rejects_non_utf8_metadata(untrained_model, tmp_path, capsys):
+    data = untrained_model.read_bytes()
+    assert data.endswith(b"seed=0\n")
+    err = _monitor_with_model_bytes(data[:-2] + b"\xff\n", tmp_path, capsys)
+    assert "UTF-8" in err
+
+
+def test_monitor_rejects_transposed_tensor_dims(untrained_model, tmp_path, capsys):
+    data = bytearray(untrained_model.read_bytes())
+    # ae.enc_w1 is the first tensor: rank at offset 8, then dims 1024 and 256
+    assert data[8:20] == b"".join(n.to_bytes(4, "little") for n in (2, 1024, 256))
+    data[12:20] = data[16:20] + data[12:16]
+    err = _monitor_with_model_bytes(bytes(data), tmp_path, capsys)
+    assert "enc_w1" in err
+
+
+def test_monitor_rejects_trailing_bytes(untrained_model, tmp_path, capsys):
+    err = _monitor_with_model_bytes(untrained_model.read_bytes() + b"\0", tmp_path, capsys)
+    assert "1 unexpected bytes" in err
+
+
 def test_monitor_stdin_matches_file(untrained_model, tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(8)
     samples = rng.uniform(-0.5, 0.5, 8192 * 6)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from breathsentinel.errors import DomainError, NonMonotonicTime
-from breathsentinel.stream import BreathEvent, PredictionFrame
+from breathsentinel.stream import BreathEvent, Debouncer, PredictionFrame
 from breathsentinel.vigil import (
+    Alert,
     IntervalSeries,
     arrest_check,
     ols_slope_t,
@@ -78,12 +79,23 @@ def test_t_quantile_matches_scipy():
 
 
 def test_t_quantile_domain_errors():
-    with pytest.raises(DomainError):
-        t_quantile(0.4, 10)
-    with pytest.raises(DomainError):
-        t_quantile(1.0, 10)
-    with pytest.raises(DomainError):
-        t_quantile(0.9, 0)
+    for _ in range(2):  # the memoized function must not cache a failure
+        with pytest.raises(DomainError):
+            t_quantile(0.4, 10)
+        with pytest.raises(DomainError):
+            t_quantile(1.0, 10)
+        with pytest.raises(DomainError):
+            t_quantile(0.9, 0)
+
+
+def test_memoized_t_quantile_is_bit_equal_to_bisection():
+    rng = np.random.default_rng(3)
+    pairs = [(p, df) for p in (0.90, 0.95) for df in range(1, 200)]
+    pairs += [(float(rng.uniform(0.51, 0.999)), int(rng.integers(1, 1000))) for _ in range(300)]
+    for p, df in pairs:
+        expected = t_quantile.__wrapped__(p, df)
+        assert t_quantile(p, df) == expected
+        assert t_quantile(p, df) == expected  # second call is served from the cache
 
 
 # --- arrest test ---
@@ -233,3 +245,86 @@ def test_run_detection_latches_arrest_once():
     assert alerts[0].time > events[-1].time
     # the alarm waited at least the tolerance bound past the last event
     assert alerts[0].time - events[-1].time >= alerts[0].threshold
+
+
+def _breath_predictions(breaths, end):
+    """Prediction stream with a confident inhale run at each breath time and
+    an exhale run 1 s after it, every 1/8 s from 2 s up to `end`."""
+    labels = {}
+    for b in breaths:
+        for k in range(4):
+            labels.setdefault(round((b + 2.0) * 8) + k, "inhale")
+            labels.setdefault(round((b + 3.0) * 8) + k, "exhale")
+    return [PredictionFrame(end_time=i / 8, label=labels.get(i, "unknown"), confidence=0.999)
+            for i in range(16, round(end * 8))]
+
+
+def _reference_detection(predictions, interval_window, ci_level, trend_alpha):
+    """run_detection with every statistic recomputed from the buffer on each tick."""
+    quantile = t_quantile.__wrapped__
+    debouncer = Debouncer()
+    series = IntervalSeries(capacity=interval_window)
+    lag = debouncer.window_seconds + 2 * 0.125
+    armed = {"arrest": True, "trend": True}
+    out = []
+    for pred in predictions:
+        event = debouncer.push(pred)
+        if event is not None:
+            series.push_event(event)
+            out.append(event)
+            xs = series.intervals()
+            if event.kind == "inhale":
+                alert = None
+                if xs.size >= 8:
+                    _, t = ols_slope_t(xs)
+                    threshold = quantile(1.0 - trend_alpha, xs.size - 2)
+                    if t > threshold:
+                        alert = Alert("trend", series.last_breath_time, t, threshold)
+                if alert is not None and armed["trend"]:
+                    armed["trend"] = False
+                    out.append(alert)
+                elif alert is None:
+                    armed["trend"] = True
+        xs = series.intervals()
+        alert = None
+        if xs.size >= 5:
+            mean = float(xs.mean())
+            sd = float(xs.std(ddof=1))
+            bound = max(mean + quantile(0.5 + ci_level / 2.0, xs.size - 1) * sd, mean + 0.5)
+            now = pred.end_time - lag
+            if now - series.last_breath_time > bound:
+                alert = Alert("arrest", now, now - series.last_breath_time, bound)
+        if alert is not None and armed["arrest"]:
+            armed["arrest"] = False
+            out.append(alert)
+        elif alert is None:
+            armed["arrest"] = True
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.sampled_from(["steady", "arrest", "slowing", "gasps"]),
+       st.floats(min_value=2.0, max_value=4.0),
+       st.integers(min_value=5, max_value=20),
+       st.sampled_from([0.8, 0.9, 0.95]),
+       st.sampled_from([0.05, 0.1]))
+def test_run_detection_matches_per_tick_reference(seed, mode, period, interval_window,
+                                                  ci_level, trend_alpha):
+    rng = np.random.default_rng(seed)
+    breaths, t = [], 0.5
+    for i in range(int(rng.integers(10, 30))):
+        gap = period + rng.normal(0.0, 0.2)
+        if mode == "slowing" and i >= 8:
+            gap += 0.25 * (i - 7)
+        if mode == "gasps" and rng.random() < 0.2:
+            gap *= 3.0
+        t += max(gap, 2.0)
+        breaths.append(t)
+    end = breaths[-1] + (40.0 if mode == "arrest" else 5.0)
+    preds = _breath_predictions(breaths, end)
+    kwargs = dict(interval_window=interval_window, ci_level=ci_level, trend_alpha=trend_alpha)
+    got = list(run_detection(iter(preds), **kwargs))
+    assert got == _reference_detection(preds, **kwargs)
+    if mode == "arrest":
+        assert any(isinstance(o, Alert) and o.kind == "arrest" for o in got)
