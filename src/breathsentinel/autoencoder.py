@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsp
 from .errors import DivergedLoss, NonFiniteActivation
 from .optim import AdagradState, adagrad_step
 
@@ -62,22 +61,6 @@ class AEParams:
         return cls(**{name: tensors[name] for name in TENSOR_NAMES})
 
 
-@dataclass(frozen=True)
-class LatentFrame:
-    """50-value bottleneck code for one frame; values sit inside (-1, 1)."""
-
-    code: np.ndarray
-    start_time: float
-
-    def __post_init__(self):
-        code = np.asarray(self.code, dtype=np.float64)
-        object.__setattr__(self, "code", code)
-        if code.shape != (LATENT_DIM,):
-            raise ValueError(f"latent code must have {LATENT_DIM} values, got {code.shape}")
-        if code.size and float(np.max(np.abs(code))) >= 1.0:
-            raise ValueError("latent values must lie strictly inside (-1, 1)")
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -122,24 +105,18 @@ def encode_batch(params: AEParams, x: np.ndarray) -> np.ndarray:
     return code
 
 
-def encode(params: AEParams, frame: dsp.SpectralFrame) -> LatentFrame:
-    """Encoder half only; the frame's timestamp rides along."""
-    code = encode_batch(params, frame.magnitudes[None, :])[0]
-    return LatentFrame(code=code, start_time=frame.start_time)
+def encode(params: AEParams, spectrum: np.ndarray) -> np.ndarray:
+    """Encoder half for one (1024,) spectrum; returns its (50,) latent code."""
+    return encode_batch(params, spectrum[None, :])[0]
 
 
-def encode_clip(params: AEParams, clip: dsp.AudioClip) -> np.ndarray:
-    """Latent codes for every full frame of a clip, shape (n_frames, 50)."""
-    return encode_batch(params, dsp.clip_spectra(clip))
-
-
-def reconstruct(params: AEParams, frame: dsp.SpectralFrame) -> tuple[np.ndarray, float]:
+def reconstruct(params: AEParams, spectrum: np.ndarray) -> tuple[np.ndarray, float]:
     """Full forward pass; returns (reconstruction in (0,1)^1024, mse vs input)."""
-    _, _, _, recon = _forward(params, frame.magnitudes[None, :])
+    _, _, _, recon = _forward(params, spectrum[None, :])
     recon = recon[0]
     if not np.isfinite(recon).all():
         raise NonFiniteActivation("decoder produced non-finite activations")
-    mse = float(np.mean((recon - frame.magnitudes) ** 2))
+    mse = float(np.mean((recon - spectrum) ** 2))
     return recon, mse
 
 
@@ -175,12 +152,6 @@ def ae_backward_batch(params: AEParams, x: np.ndarray) -> tuple[dict[str, np.nda
         "dec_w2": g_dec_w2, "dec_b2": g_dec_b2,
     }
     return grads, loss
-
-
-def ae_backward(params: AEParams, frame: dsp.SpectralFrame) -> dict[str, np.ndarray]:
-    """Exact gradients of the reconstruction mse for a single frame."""
-    grads, _ = ae_backward_batch(params, frame.magnitudes[None, :])
-    return grads
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 from . import dsp
 from .autoencoder import AETrainConfig, train_ae
 from .config import RunConfig, load_config
-from .corpus import Corpus, load_corpus, make_split
+from .corpus import load_corpus, make_split
 from .errors import BreathSentinelError
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import RNNTrainConfig, evaluate, init_rnn, train_rnn
@@ -78,32 +78,6 @@ def _required_path(args, cfg: RunConfig, flag: str, cfg_field: str) -> str:
     return value
 
 
-def _corpus_spectra(corpus: Corpus) -> np.ndarray:
-    """Normalized spectra of every frame of every clip, shape (n*16, 1024)."""
-    stacked = np.stack([c.clip.samples for c in corpus.clips])
-    frames = stacked.reshape(-1, dsp.FRAME_LEN)
-    return dsp.normalize_magnitudes(np.abs(dsp.fft_radix2(frames)))
-
-
-def _frames_from_wav(path) -> list[dsp.TimeFrame]:
-    clip = dsp.load_wav(path)
-    frames, _ = dsp.frame_signal(clip)
-    return frames
-
-
-def _frames_from_stdin(buffer) -> Iterator[dsp.TimeFrame]:
-    """Raw PCM s16le mono 8192 Hz from a byte stream, one frame at a time."""
-    index = 0
-    frame_bytes = dsp.FRAME_LEN * 2
-    while True:
-        chunk = buffer.read(frame_bytes)
-        if len(chunk) < frame_bytes:
-            return  # trailing partial frame dropped, same as frame_signal
-        samples = np.frombuffer(chunk, dtype="<i2").astype(np.float64) / 32768.0
-        yield dsp.TimeFrame(samples=samples, start_time=index * dsp.FRAME_SECONDS)
-        index += 1
-
-
 def _format_line(item) -> str:
     if isinstance(item, BreathEvent):
         return f"{item.time:.3f},{item.kind}"
@@ -149,7 +123,8 @@ def cmd_train_ae(args) -> int:
     corpus = load_corpus(_required_path(args, cfg, "corpus", "corpus_dir"))
     for err in corpus.load_errors:
         print(f"skipped,{err}", file=sys.stderr)
-    spectra = _corpus_spectra(corpus)
+    samples = np.stack([c.clip.samples for c in corpus.clips])
+    spectra = dsp.spectra(samples.reshape(-1, dsp.FRAME_LEN))
     ae_params, trace = train_ae(spectra, AETrainConfig(
         epochs=cfg.ae_epochs, batch=cfg.ae_batch, seed=cfg.seed,
         learning_rate=cfg.ae_learning_rate))
@@ -228,16 +203,21 @@ def cmd_monitor(args) -> int:
     cfg = _resolve_config(args)
     bundle = load_model(_required_path(args, cfg, "model", "model_path"))
     if args.input == "-":
-        frames = _frames_from_stdin(sys.stdin.buffer)
+        _monitor(cfg, bundle, dsp.pcm_frames(sys.stdin.buffer))
     else:
-        frames = iter(_frames_from_wav(args.input))
+        path = Path(args.input)
+        with path.open("rb") as wav:
+            _monitor(cfg, bundle, dsp.wav_frames(wav, path))
+    return EX_OK
+
+
+def _monitor(cfg: RunConfig, bundle: ModelBundle, frames: Iterator[np.ndarray]) -> None:
     predictions = infer_stream(bundle.ae, bundle.rnn, frames)
     for item in run_detection(
             predictions, confidence=cfg.confidence, run_length=cfg.run_length,
             refractory=cfg.refractory, interval_window=cfg.interval_window,
             ci_level=cfg.ci_level, trend_alpha=cfg.trend_alpha):
         print(_format_line(item), flush=True)
-    return EX_OK
 
 
 def cmd_simulate(args) -> int:
@@ -245,7 +225,7 @@ def cmd_simulate(args) -> int:
     bundle = load_model(_required_path(args, cfg, "model", "model_path"))
     spec = _scenario_spec(args, cfg)
     clip, truth = gen_scenario(spec)
-    frames, _ = dsp.frame_signal(clip)
+    frames = dsp.frame_signal(clip)
     events: list[BreathEvent] = []
     alerts: list[Alert] = []
     for item in run_detection(
@@ -306,8 +286,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the config seed")
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", required=True, choices=("normal", "arrest", "decrement"))
+def _add_scenario_flags(parser: argparse.ArgumentParser, kind_flag: str) -> None:
+    parser.add_argument(kind_flag, dest="kind", required=True,
+                        choices=("normal", "arrest", "decrement"))
     parser.add_argument("--duration", type=float, help="seconds (default 300 normal, 120 otherwise)")
     parser.add_argument("--onset", type=float, default=60.0)
     parser.add_argument("--base-period", dest="base_period", type=float, default=2.5)
@@ -342,7 +323,7 @@ def build_parser() -> _Parser:
     ss = synth_sub.add_parser("scenario", help="write a continuous scenario WAV + truth CSV")
     ss.add_argument("--out", required=True)
     ss.add_argument("--truth", required=True)
-    _add_scenario_flags(ss)
+    _add_scenario_flags(ss, "--kind")
     _add_common(ss)
     ss.set_defaults(func=cmd_synth_scenario, command="synth")
 
@@ -383,14 +364,7 @@ def build_parser() -> _Parser:
 
     si = sub.add_parser("simulate", help="run a scenario end to end and report latencies")
     si.add_argument("--model")
-    si.add_argument("--scenario", dest="kind", required=True,
-                    choices=("normal", "arrest", "decrement"))
-    si.add_argument("--duration", type=float)
-    si.add_argument("--onset", type=float, default=60.0)
-    si.add_argument("--base-period", dest="base_period", type=float, default=2.5)
-    si.add_argument("--jitter-sd", dest="jitter_sd", type=float, default=0.1)
-    si.add_argument("--decrement-rate", dest="decrement_rate", type=float, default=0.04)
-    si.add_argument("--noise-floor", dest="noise_floor", type=float, default=0.02)
+    _add_scenario_flags(si, "--scenario")
     si.add_argument("--report", help="write the report here instead of stdout")
     si.add_argument("--tolerance", type=float, default=1.0)
     _add_detection_flags(si)

@@ -9,10 +9,12 @@ stay fixed.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -58,67 +60,35 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-@dataclass(frozen=True)
-class TimeFrame:
-    """Exactly 1024 amplitude samples starting on the 1/8 s grid."""
+def _wav_data(f, path) -> int:
+    """Walk the chunks of an open WAV file and validate its format.
 
-    samples: np.ndarray
-    start_time: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if samples.shape != (FRAME_LEN,):
-            raise ValueError(f"frame must hold exactly {FRAME_LEN} samples, got {samples.shape}")
-        steps = self.start_time / FRAME_SECONDS
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(f"start_time {self.start_time} is not a multiple of {FRAME_SECONDS} s")
-
-
-@dataclass(frozen=True)
-class SpectralFrame:
-    """1024 log-compressed magnitude bins in [0, 1] for one frame."""
-
-    magnitudes: np.ndarray
-    start_time: float
-
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        object.__setattr__(self, "magnitudes", mags)
-        if mags.shape != (FRAME_LEN,):
-            raise ValueError(f"spectrum must hold exactly {FRAME_LEN} bins, got {mags.shape}")
-        if mags.size and (float(mags.min()) < 0.0 or float(mags.max()) > 1.0):
-            raise ValueError("normalized magnitudes must lie in [0, 1]")
-
-
-def load_wav(path) -> AudioClip:
-    """Read a WAV file, accepting only PCM signed 16-bit little-endian mono 8192 Hz.
-
-    Sample values are scaled by 1/32768 into [-1, 1].
+    Accepts only PCM signed 16-bit little-endian mono 8192 Hz. Leaves `f`
+    at the first sample byte and returns the number of whole-sample bytes
+    in the 'data' chunk, cut to what the file holds.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF":
+    head = f.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF":
         raise NotWav(f"{path}: first bytes are not 'RIFF'")
-    if data[8:12] != b"WAVE":
+    if head[8:12] != b"WAVE":
         raise NotWav(f"{path}: RIFF form type is not 'WAVE'")
 
+    end = f.seek(0, io.SEEK_END)
     fmt = None
-    payload = None
+    data = None
     pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + size]
+    while pos + 8 <= end:
+        f.seek(pos)
+        chunk_id, size = struct.unpack("<4sI", f.read(8))
         if chunk_id == b"fmt ":
-            fmt = body
+            fmt = f.read(min(size, 16))
         elif chunk_id == b"data":
-            payload = body
+            data = (pos + 8, min(size, end - pos - 8))
         pos += 8 + size + (size & 1)  # chunks are word aligned
 
     if fmt is None or len(fmt) < 16:
         raise NotWav(f"{path}: missing or short 'fmt ' chunk")
-    audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack("<HHIIHH", fmt)
     if audio_format != 1:
         raise UnsupportedFormat(f"{path}: audio_format={audio_format}, need PCM (1)")
     if channels != 1:
@@ -127,12 +97,47 @@ def load_wav(path) -> AudioClip:
         raise UnsupportedFormat(f"{path}: sample_rate={rate}, need {SAMPLE_RATE}")
     if bits != 16:
         raise UnsupportedFormat(f"{path}: bits_per_sample={bits}, need 16")
-    if payload is None:
+    if data is None:
         raise NotWav(f"{path}: missing 'data' chunk")
 
-    usable = len(payload) - (len(payload) % 2)
-    raw = np.frombuffer(payload[:usable], dtype="<i2")
+    start, size = data
+    f.seek(start)
+    return size - size % 2
+
+
+def load_wav(path) -> AudioClip:
+    """Read a whole WAV file; sample values are scaled by 1/32768 into [-1, 1]."""
+    path = Path(path)
+    with path.open("rb") as f:
+        raw = np.frombuffer(f.read(_wav_data(f, path)), dtype="<i2")
     return AudioClip(samples=raw.astype(np.float64) / 32768.0)
+
+
+def pcm_frames(stream, n_bytes: float = math.inf) -> Iterator[np.ndarray]:
+    """(1024,) frames in [-1, 1] from raw PCM s16le mono, read one frame at a time.
+
+    Reads 2048 bytes per frame until the stream ends or `n_bytes` are
+    used up; a trailing partial frame is dropped, as in frame_signal.
+    """
+    frame_bytes = 2 * FRAME_LEN
+    while n_bytes >= frame_bytes:
+        chunk = stream.read(frame_bytes)
+        if len(chunk) < frame_bytes:
+            return
+        n_bytes -= frame_bytes
+        yield np.frombuffer(chunk, dtype="<i2").astype(np.float64) / 32768.0
+
+
+def wav_frames(f, path) -> Iterator[np.ndarray]:
+    """Frames of the 'data' chunk of an open WAV file, streamed as by pcm_frames.
+
+    The header is validated before this returns; a file with less than
+    one frame of samples raises EmptyClip.
+    """
+    n_bytes = _wav_data(f, path)
+    if n_bytes < 2 * FRAME_LEN:
+        raise EmptyClip(f"need at least {FRAME_LEN} samples, got {n_bytes // 2}")
+    return pcm_frames(f, n_bytes)
 
 
 def write_wav(path, samples) -> None:
@@ -148,23 +153,17 @@ def write_wav(path, samples) -> None:
     Path(path).write_bytes(header + body)
 
 
-def frame_signal(clip: AudioClip) -> tuple[list[TimeFrame], int]:
+def frame_signal(clip: AudioClip) -> np.ndarray:
     """Cut a clip into non-overlapping 1024-sample frames (hop = frame length).
 
-    Returns the frames plus the number of trailing samples that did not fill
-    a final frame and were dropped. A 2-second clip yields exactly 16 frames.
+    Returns an (n_frames, 1024) view of the samples; trailing samples that
+    do not fill a final frame are dropped. A 2-second clip yields exactly
+    16 frames.
     """
-    n = clip.samples.size
-    if n < FRAME_LEN:
-        raise EmptyClip(f"need at least {FRAME_LEN} samples, got {n}")
-    n_frames = n // FRAME_LEN
-    remainder = n - n_frames * FRAME_LEN
-    frames = [
-        TimeFrame(samples=clip.samples[i * FRAME_LEN:(i + 1) * FRAME_LEN],
-                  start_time=i * FRAME_SECONDS)
-        for i in range(n_frames)
-    ]
-    return frames, remainder
+    n_frames = clip.samples.size // FRAME_LEN
+    if n_frames == 0:
+        raise EmptyClip(f"need at least {FRAME_LEN} samples, got {clip.samples.size}")
+    return clip.samples[:n_frames * FRAME_LEN].reshape(n_frames, FRAME_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +222,13 @@ def ifft_radix2(x: np.ndarray) -> np.ndarray:
     return np.conj(fft_radix2(np.conj(x))) / x.shape[-1]
 
 
-def dfft_magnitude(frame: TimeFrame) -> np.ndarray:
-    """Raw magnitude spectrum |X[k]|, k = 0..1023, of one frame.
+def dfft_magnitude(samples: np.ndarray) -> np.ndarray:
+    """Raw magnitude spectrum |X[k]|, k = 0..1023, of one (1024,) frame.
 
     The mirrored half is retained: for real input, bins k and 1024-k carry
     equal magnitude.
     """
-    return np.abs(fft_radix2(frame.samples))
+    return np.abs(fft_radix2(samples))
 
 
 def normalize_magnitudes(raw: np.ndarray) -> np.ndarray:
@@ -244,19 +243,16 @@ def normalize_magnitudes(raw: np.ndarray) -> np.ndarray:
     return np.clip(np.log1p(raw) / _NORM_DIVISOR, 0.0, 1.0)
 
 
-def normalize_spectrum(raw: np.ndarray, start_time: float = 0.0) -> SpectralFrame:
-    """Normalize one raw magnitude vector into a SpectralFrame."""
-    return SpectralFrame(magnitudes=normalize_magnitudes(raw), start_time=start_time)
+# The same transform under the per-frame name the streaming path calls, so
+# per-frame and batched normalization stay apart in perfbench's traces.
+normalize_spectrum = normalize_magnitudes
 
 
-def clip_spectra(clip: AudioClip) -> np.ndarray:
-    """Normalized magnitude spectra for every full frame of a clip.
+def spectra(frames: np.ndarray) -> np.ndarray:
+    """Normalized magnitude spectra of a (..., 1024) array of frames, same shape.
 
-    Returns an (n_frames, 1024) array; the batched path runs the same FFT
-    as dfft_magnitude.
+    The batch front end: training, evaluation and the tests all turn
+    samples into spectra here, with the same arithmetic as the streaming
+    dfft_magnitude + normalize_spectrum pair.
     """
-    n_frames = clip.samples.size // FRAME_LEN
-    if n_frames == 0:
-        raise EmptyClip(f"need at least {FRAME_LEN} samples, got {clip.samples.size}")
-    stacked = clip.samples[:n_frames * FRAME_LEN].reshape(n_frames, FRAME_LEN)
-    return normalize_magnitudes(np.abs(fft_radix2(stacked)))
+    return normalize_magnitudes(np.abs(fft_radix2(frames)))

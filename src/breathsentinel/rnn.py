@@ -69,45 +69,6 @@ class RNNParams:
         return cls(**{name: tensors[name] for name in TENSOR_NAMES})
 
 
-@dataclass(frozen=True)
-class ClassScores:
-    """Three independent sigmoid confidences, ordered (inhale, exhale, unknown).
-
-    They are separate detectors, not a distribution: no sum-to-one
-    constraint.
-    """
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
-        object.__setattr__(self, "scores", s)
-        if s.shape != (N_CLASSES,):
-            raise ValueError(f"scores must have shape ({N_CLASSES},), got {s.shape}")
-        if float(s.min()) <= 0.0 or float(s.max()) >= 1.0:
-            raise ValueError("scores must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class Window:
-    """Exactly 16 latent frames, 0.125 s apart, ending at end_time."""
-
-    frames: tuple
-    end_time: float
-
-    def __post_init__(self):
-        frames = tuple(self.frames)
-        object.__setattr__(self, "frames", frames)
-        if len(frames) != WINDOW_FRAMES:
-            raise ValueError(f"window needs exactly {WINDOW_FRAMES} frames, got {len(frames)}")
-        for prev, cur in zip(frames, frames[1:]):
-            if abs((cur.start_time - prev.start_time) - dsp.FRAME_SECONDS) > 1e-9:
-                raise ValueError("window frames must be consecutive (0.125 s apart)")
-
-    def codes(self) -> np.ndarray:
-        return np.stack([f.code for f in self.frames])
-
-
 def init_rnn(seed, hidden: int = HIDDEN_DEFAULT) -> RNNParams:
     """Fan-balanced uniform weights, zero biases, zero initial hidden state."""
     rng = np.random.default_rng(seed)
@@ -135,19 +96,23 @@ def _forward_codes(params: RNNParams, codes: np.ndarray):
     return h, scores
 
 
-def rnn_forward(params: RNNParams, window: Window) -> ClassScores:
-    """Many-to-one forward pass: only the final hidden state produces output."""
-    _, scores = _forward_codes(params, window.codes())
+def rnn_forward(params: RNNParams, codes: np.ndarray) -> np.ndarray:
+    """Many-to-one forward pass over a (16, 50) window of latent codes.
+
+    Only the final hidden state produces output: three independent
+    sigmoid confidences ordered (inhale, exhale, unknown), not a
+    distribution.
+    """
+    _, scores = _forward_codes(params, codes)
     if not np.isfinite(scores).all():
         raise NonFiniteActivation("classifier produced non-finite scores")
-    return ClassScores(scores=scores)
+    return scores
 
 
-def classify(scores: ClassScores) -> tuple[str, float]:
+def classify(scores: np.ndarray) -> tuple[str, float]:
     """Argmax label and its confidence; ties resolve to the earliest class."""
-    s = scores.scores
-    idx = int(np.argmax(s))
-    return CLASSES[idx], float(s[idx])
+    idx = int(np.argmax(scores))
+    return CLASSES[idx], float(scores[idx])
 
 
 def bce_loss(scores: np.ndarray, target: np.ndarray) -> float:
@@ -180,15 +145,6 @@ def _backward_codes(params: RNNParams, codes: np.ndarray,
 
     grads = {"w_xh": g_w_xh, "w_hh": g_w_hh, "b_h": g_b_h, "w_hy": g_w_hy, "b_y": g_b_y}
     return grads, loss
-
-
-def rnn_backward(params: RNNParams, window: Window, target: np.ndarray) -> dict[str, np.ndarray]:
-    """BPTT gradients for one window against a one-hot target."""
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (N_CLASSES,) or not np.isin(target, (0.0, 1.0)).all() or target.sum() != 1.0:
-        raise ValueError(f"target must be one-hot over {N_CLASSES} classes")
-    grads, _ = _backward_codes(params, window.codes(), target)
-    return grads
 
 
 def one_hot(label: str) -> np.ndarray:
@@ -225,8 +181,7 @@ def _encode_samples(ae: AEParams, samples_matrix: np.ndarray) -> np.ndarray:
     """(n_clips, 16384) samples -> (n_clips, 16, 50) latent code sequences."""
     n = samples_matrix.shape[0]
     frames = samples_matrix.reshape(n * WINDOW_FRAMES, dsp.FRAME_LEN)
-    spectra = dsp.normalize_magnitudes(np.abs(dsp.fft_radix2(frames)))
-    return encode_batch(ae, spectra).reshape(n, WINDOW_FRAMES, INPUT_DIM)
+    return encode_batch(ae, dsp.spectra(frames)).reshape(n, WINDOW_FRAMES, INPUT_DIM)
 
 
 def _metrics_from_predictions(labels: list[str], predicted: list[str]) -> EvalMetrics:

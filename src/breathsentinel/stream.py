@@ -8,11 +8,11 @@ turns them into single, timestamped breath events.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from statistics import median
 from typing import Iterable, Iterator
 
+import numpy as np
 
 from . import dsp, rnn
 from .autoencoder import AEParams, encode
@@ -44,26 +44,27 @@ class BreathEvent:
 
 
 def infer_stream(ae: AEParams, params: rnn.RNNParams,
-                 frames: Iterable[dsp.TimeFrame]) -> Iterator[PredictionFrame]:
-    """DFFT, normalize, and encode each frame; classify every full window.
+                 frames: Iterable[np.ndarray]) -> Iterator[PredictionFrame]:
+    """DFFT, normalize, and encode each (1024,) frame; classify every full window.
 
+    Pulls one frame per step and keeps only the last 16 latent codes.
     Emits one PredictionFrame per incoming frame after the 15-frame
     warmup: 2.000 s of audio yields exactly one prediction, 4.000 s yields
     17. Errors from the DSP or model layers are re-raised with the stream
     position attached.
     """
-    window: deque = deque(maxlen=rnn.WINDOW_FRAMES)
-    for frame in frames:
+    window = np.zeros((rnn.WINDOW_FRAMES, rnn.INPUT_DIM))
+    for index, samples in enumerate(frames):
+        start_time = index * dsp.FRAME_SECONDS
         try:
-            spectral = dsp.normalize_spectrum(dsp.dfft_magnitude(frame), frame.start_time)
-            window.append(encode(ae, spectral))
-            if len(window) == rnn.WINDOW_FRAMES:
-                end_time = frame.start_time + dsp.FRAME_SECONDS
-                scores = rnn.rnn_forward(params, rnn.Window(frames=tuple(window), end_time=end_time))
-                label, confidence = rnn.classify(scores)
+            window[:-1] = window[1:]
+            window[-1] = encode(ae, dsp.normalize_spectrum(dsp.dfft_magnitude(samples)))
+            if index + 1 >= rnn.WINDOW_FRAMES:
+                end_time = start_time + dsp.FRAME_SECONDS
+                label, confidence = rnn.classify(rnn.rnn_forward(params, window))
                 yield PredictionFrame(end_time=end_time, label=label, confidence=confidence)
         except BreathSentinelError as exc:
-            raise type(exc)(f"at stream position {frame.start_time:.3f} s: {exc}") from exc
+            raise type(exc)(f"at stream position {start_time:.3f} s: {exc}") from exc
 
 
 class Debouncer:

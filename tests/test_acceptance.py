@@ -64,8 +64,7 @@ def desk_model(tmp_path_factory) -> DeskModel:
     with threadpool_limits(1):
         corpus = gen_corpus(150, seed=DESK_SEED, out_dir=corpus_dir)
         samples = np.stack([c.clip.samples for c in corpus.clips])
-        spectra = dsp.normalize_magnitudes(
-            np.abs(dsp.fft_radix2(samples.reshape(-1, dsp.FRAME_LEN))))
+        spectra = dsp.spectra(samples.reshape(-1, dsp.FRAME_LEN))
         ae_params, _ = ae_mod.train_ae(
             spectra, ae_mod.AETrainConfig(epochs=200, batch=128, seed=DESK_SEED))
         rnn_params, _ = rnn_mod.train_rnn(
@@ -86,9 +85,8 @@ def desk_model(tmp_path_factory) -> DeskModel:
 
 def detect(model: DeskModel, spec: ScenarioSpec):
     clip, truth = gen_scenario(spec)
-    frames, _ = dsp.frame_signal(clip)
     events, alerts = [], []
-    for item in run_detection(infer_stream(model.ae, model.rnn, iter(frames))):
+    for item in run_detection(infer_stream(model.ae, model.rnn, dsp.frame_signal(clip))):
         (events if isinstance(item, BreathEvent) else alerts).append(item)
     return truth, events, alerts
 
@@ -116,12 +114,11 @@ def test_criterion_2_gradient_fidelity():
     worst_ae = 0.0
     for i in range(10):
         params = ae_mod.init_ae(100 + i)
-        frame = dsp.SpectralFrame(magnitudes=rng.uniform(0, 1, 1024), start_time=0.0)
-        grads = ae_mod.ae_backward(params, frame)
+        x = rng.uniform(0, 1, (1, 1024))
+        grads, _ = ae_mod.ae_backward_batch(params, x)
 
-        def loss(tensors, frame=frame):
-            return ae_mod.batch_mse(ae_mod.AEParams.from_dict(tensors),
-                                    frame.magnitudes[None, :])
+        def loss(tensors, x=x):
+            return ae_mod.batch_mse(ae_mod.AEParams.from_dict(tensors), x)
 
         worst_ae = max(worst_ae, grad_check(loss, params.to_dict(), grads,
                                             sample=20, rng=rng))
@@ -159,8 +156,7 @@ def test_compressor_reconstruction_on_held_out_frames(desk_model):
     plan = make_split(desk_model.corpus, DESK_SEED)
     by_id = {c.clip_id: c for c in desk_model.corpus.clips}
     frames = np.stack([by_id[cid].clip.samples for cid in plan.test_ids])
-    spectra = dsp.normalize_magnitudes(
-        np.abs(dsp.fft_radix2(frames.reshape(-1, dsp.FRAME_LEN))))
+    spectra = dsp.spectra(frames.reshape(-1, dsp.FRAME_LEN))
     mse = ae_mod.batch_mse(desk_model.ae, spectra)
     report("compressor held-out mse", mse <= 0.01,
            f"mean reconstruction mse {mse:.5f} on isolated test frames (cap 0.01)")

@@ -1,12 +1,15 @@
 import io
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from breathsentinel import cli, dsp
+from breathsentinel import cli, dsp, rnn
 from breathsentinel.model_io import ModelBundle, load_model, save_model
-from breathsentinel.autoencoder import init_ae
+from breathsentinel.autoencoder import encode_batch, init_ae
 from breathsentinel.rnn import init_rnn
+from breathsentinel.synthgen import ScenarioSpec, gen_scenario
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,84 @@ def test_monitor_rejects_transposed_tensor_dims(untrained_model, tmp_path, capsy
 def test_monitor_rejects_trailing_bytes(untrained_model, tmp_path, capsys):
     err = _monitor_with_model_bytes(untrained_model.read_bytes() + b"\0", tmp_path, capsys)
     assert "1 unexpected bytes" in err
+
+
+def test_monitor_too_short_wav_is_empty_clip(untrained_model, tmp_path, capsys):
+    wav = tmp_path / "short.wav"
+    dsp.write_wav(wav, np.zeros(1023))
+    assert cli.main(["monitor", "--model", str(untrained_model), "--input", str(wav)]) == 1
+    assert "need at least 1024 samples" in capsys.readouterr().err
+
+
+def _peak_monitor_bytes(model, wav) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(["monitor", "--model", str(model), "--input", str(wav)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monitor_memory_does_not_grow_with_the_input(untrained_model, tmp_path, capsys):
+    short, long = tmp_path / "one_minute.wav", tmp_path / "ten_minutes.wav"
+    dsp.write_wav(short, np.zeros(60 * dsp.SAMPLE_RATE))
+    dsp.write_wav(long, np.zeros(600 * dsp.SAMPLE_RATE))
+    peak_short = _peak_monitor_bytes(untrained_model, short)
+    peak_long = _peak_monitor_bytes(untrained_model, long)
+    assert peak_long <= 1.5 * peak_short, (peak_short, peak_long)
+
+
+MONITOR_LINE = re.compile(r"\d+\.\d{3},(inhale|exhale)|\d+\.\d{3},(arrest|trend),-?[\d.]+,-?[\d.]+")
+
+
+@pytest.fixture(scope="module")
+def breathing_wav(tmp_path_factory):
+    clip, _ = gen_scenario(ScenarioSpec(kind="normal", duration=20.0, onset=10.0, seed=4))
+    path = tmp_path_factory.mktemp("breathing") / "breathing.wav"
+    dsp.write_wav(path, clip.samples)
+    return path
+
+
+def _saturated_model(tmp_path, part, name, scale):
+    bundle = ModelBundle(ae=init_ae(1), rnn=init_rnn(1), metadata={})
+    params = getattr(bundle, part)
+    setattr(params, name, getattr(params, name) * scale)
+    path = tmp_path / f"{name}_x{scale:g}.bsm"
+    save_model(bundle, path)
+    return load_model(path), path
+
+
+def _monitor_lines(model_path, wav, capsys) -> list[str]:
+    assert cli.main(["monitor", "--model", str(model_path), "--input", str(wav)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(MONITOR_LINE.fullmatch(line) for line in lines), lines
+    return lines
+
+
+def test_monitor_accepts_codes_saturated_at_one(breathing_wav, tmp_path, capsys):
+    bundle, path = _saturated_model(tmp_path, "ae", "enc_w2", 400.0)
+    spectra = dsp.spectra(dsp.frame_signal(dsp.load_wav(breathing_wav)))
+    assert np.abs(encode_batch(bundle.ae, spectra)).max() == 1.0  # tanh saturated exactly
+    _monitor_lines(path, breathing_wav, capsys)
+
+
+def test_monitor_accepts_scores_saturated_at_one(breathing_wav, tmp_path, capsys):
+    bundle, path = _saturated_model(tmp_path, "rnn", "w_hy", 1000.0)
+    frames = dsp.frame_signal(dsp.load_wav(breathing_wav))
+    codes = encode_batch(bundle.ae, dsp.spectra(frames[:rnn.WINDOW_FRAMES]))
+    assert rnn.rnn_forward(bundle.rnn, codes).max() == 1.0  # sigmoid saturated exactly
+    assert _monitor_lines(path, breathing_wav, capsys)
+
+
+def test_monitor_non_finite_activation_exits_one(untrained_model, breathing_wav, capsys,
+                                                 monkeypatch):
+    bundle = load_model(untrained_model)
+    bundle.rnn.w_hy[0, 0] = float("nan")  # past the load-time finiteness check
+    monkeypatch.setattr(cli, "load_model", lambda path: bundle)
+    assert cli.main(["monitor", "--model", str(untrained_model),
+                     "--input", str(breathing_wav)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "stream position 1.875 s" in err
 
 
 def test_monitor_stdin_matches_file(untrained_model, tmp_path, capsys, monkeypatch):

@@ -47,11 +47,22 @@ def test_load_wav_rejects_bad_magic(tmp_path):
         dsp.load_wav(path)
 
 
-def _wav_bytes(rate=8192, channels=1, bits=16, audio_format=1, payload=b"\x00\x00"):
-    fmt = struct.pack("<IHHIIHH", 16, audio_format, channels, rate,
-                      rate * channels * bits // 8, channels * bits // 8, bits)
-    data = b"fmt " + fmt + b"data" + struct.pack("<I", len(payload)) + payload
-    return b"RIFF" + struct.pack("<I", 4 + len(data)) + b"WAVE" + data
+def _riff(*chunks):
+    """WAV bytes from (id, body, declared size or None) chunks, word aligned."""
+    body = b"WAVE"
+    for chunk_id, data, size in chunks:
+        body += chunk_id + struct.pack("<I", len(data) if size is None else size) + data
+        body += b"\0" * (len(data) & 1)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(rate=8192, channels=1, bits=16, audio_format=1):
+    return struct.pack("<HHIIHH", audio_format, channels, rate,
+                       rate * channels * bits // 8, channels * bits // 8, bits)
+
+
+def _wav_bytes(payload=b"\x00\x00", **fmt):
+    return _riff((b"fmt ", _fmt(**fmt), None), (b"data", payload, None))
 
 
 @pytest.mark.parametrize("kwargs,needle", [
@@ -76,6 +87,61 @@ def test_wav_round_trip_quantized(tmp_path):
     assert np.max(np.abs(back - samples)) <= 0.5 / 32768 + 1e-12
 
 
+def _pcm(samples):
+    return np.round(np.asarray(samples) * 32768.0).astype("<i2").tobytes()
+
+
+def _streamed(path):
+    with open(path, "rb") as f:
+        return list(dsp.wav_frames(f, path))
+
+
+def test_frames_come_only_from_the_data_chunk(tmp_path):
+    samples = np.random.default_rng(3).uniform(-0.5, 0.5, 3 * 1024)
+    path = tmp_path / "list_after_data.wav"
+    path.write_bytes(_riff((b"fmt ", _fmt(), None), (b"data", _pcm(samples), None),
+                           (b"LIST", b"INFOISFT" + b"x" * 4097, None)))
+    frames = _streamed(path)
+    expected = dsp.load_wav(path).samples
+    assert expected.size == 3 * 1024
+    assert len(frames) == 3
+    assert np.array_equal(np.concatenate(frames), expected)
+
+
+def test_fmt_chunk_after_data_is_accepted(tmp_path):
+    samples = np.random.default_rng(4).uniform(-0.5, 0.5, 2 * 1024 + 10)
+    path = tmp_path / "fmt_last.wav"
+    path.write_bytes(_riff((b"data", _pcm(samples), None), (b"fmt ", _fmt(), None)))
+    frames = _streamed(path)
+    assert len(frames) == 2
+    assert np.array_equal(np.concatenate(frames), dsp.load_wav(path).samples[:2048])
+
+
+def test_data_size_beyond_end_of_file_yields_the_whole_frames_present(tmp_path):
+    samples = np.random.default_rng(5).uniform(-0.5, 0.5, 2 * 1024 + 500)
+    path = tmp_path / "truncated.wav"
+    path.write_bytes(_riff((b"fmt ", _fmt(), None), (b"data", _pcm(samples), 10 ** 6)))
+    assert dsp.load_wav(path).samples.size == samples.size
+    assert len(_streamed(path)) == 2
+
+
+def test_wav_frames_rejects_what_load_wav_rejects(tmp_path):
+    path = tmp_path / "bad_format.wav"
+    path.write_bytes(_wav_bytes(rate=44100))
+    with pytest.raises(UnsupportedFormat, match="sample_rate"):
+        _streamed(path)
+    path.write_bytes(b"JUNK" + path.read_bytes()[4:])
+    with pytest.raises(NotWav):
+        _streamed(path)
+
+
+def test_wav_frames_needs_one_whole_frame(tmp_path):
+    path = tmp_path / "short.wav"
+    dsp.write_wav(path, np.zeros(1023))
+    with pytest.raises(EmptyClip):
+        _streamed(path)
+
+
 # --- domain types ---
 
 def test_audio_clip_rejects_wrong_rate():
@@ -88,35 +154,25 @@ def test_audio_clip_rejects_out_of_range():
         dsp.AudioClip(samples=np.array([0.0, 1.5]))
 
 
-def test_time_frame_rejects_off_grid_start():
-    with pytest.raises(ValueError):
-        dsp.TimeFrame(samples=np.zeros(1024), start_time=0.1)
-
-
-def test_time_frame_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        dsp.TimeFrame(samples=np.zeros(1000), start_time=0.0)
-
-
 # --- framing ---
 
 def test_two_second_clip_yields_16_frames():
     clip = dsp.AudioClip(samples=np.arange(16384) / 16384.0)
-    frames, remainder = dsp.frame_signal(clip)
-    assert len(frames) == 16
-    assert remainder == 0
-    assert [f.start_time for f in frames[:3]] == [0.0, 0.125, 0.25]
+    frames = dsp.frame_signal(clip)
+    assert frames.shape == (16, 1024)
+    assert [f[0] for f in frames[:3]] == [0.0, 1024 / 16384.0, 2048 / 16384.0]
+    assert np.shares_memory(frames, clip.samples)  # a view, not a copy
 
 
 def test_single_frame_clip():
-    frames, remainder = dsp.frame_signal(dsp.AudioClip(samples=np.zeros(1024)))
-    assert len(frames) == 1 and frames[0].start_time == 0.0 and remainder == 0
+    assert dsp.frame_signal(dsp.AudioClip(samples=np.zeros(1024))).shape == (1, 1024)
 
 
 def test_partial_frame_reported():
-    frames, remainder = dsp.frame_signal(dsp.AudioClip(samples=np.zeros(1500)))
-    assert len(frames) == 1
-    assert remainder == 476
+    clip = dsp.AudioClip(samples=np.zeros(1500))
+    frames = dsp.frame_signal(clip)
+    assert frames.shape == (1, 1024)
+    assert clip.samples.size - frames.size == 476  # trailing partial frame dropped
 
 
 def test_too_short_clip_raises():
@@ -128,23 +184,20 @@ def test_frames_concatenate_back_to_prefix():
     rng = np.random.default_rng(2)
     samples = rng.uniform(-1, 1, 5000)
     clip = dsp.AudioClip(samples=samples)
-    frames, remainder = dsp.frame_signal(clip)
-    rebuilt = np.concatenate([f.samples for f in frames])
-    assert rebuilt.size + remainder == samples.size
+    rebuilt = dsp.frame_signal(clip).ravel()
+    assert rebuilt.size == 4 * 1024
     assert np.array_equal(rebuilt, samples[:rebuilt.size])
 
 
 # --- DFFT ---
 
 def test_zero_frame_transforms_to_zero():
-    frame = dsp.TimeFrame(samples=np.zeros(1024), start_time=0.0)
-    assert not dsp.dfft_magnitude(frame).any()
+    assert not dsp.dfft_magnitude(np.zeros(1024)).any()
 
 
 def test_integer_bin_cosine():
     n = np.arange(1024)
-    frame = dsp.TimeFrame(samples=np.cos(2 * np.pi * 8 * n / 1024), start_time=0.0)
-    mags = dsp.dfft_magnitude(frame)
+    mags = dsp.dfft_magnitude(np.cos(2 * np.pi * 8 * n / 1024))
     assert mags[8] == pytest.approx(512.0, abs=1e-9)
     assert mags[1016] == pytest.approx(512.0, abs=1e-9)
     rest = np.delete(mags, [8, 1016])
@@ -176,8 +229,7 @@ def test_parseval_identity():
 
 def test_magnitude_mirror_symmetry():
     rng = np.random.default_rng(13)
-    frame = dsp.TimeFrame(samples=rng.uniform(-1, 1, 1024), start_time=0.0)
-    mags = dsp.dfft_magnitude(frame)
+    mags = dsp.dfft_magnitude(rng.uniform(-1, 1, 1024))
     k = np.arange(1, 512)
     assert np.allclose(mags[k], mags[1024 - k], rtol=1e-9, atol=1e-9)
 
@@ -188,6 +240,16 @@ def test_batched_fft_equals_per_frame():
     batched = dsp.fft_radix2(frames)
     for i in range(6):
         assert np.allclose(batched[i], dsp.fft_radix2(frames[i]), rtol=0, atol=1e-9)
+
+
+def test_spectra_match_the_streaming_stages():
+    frames = np.random.default_rng(19).uniform(-1, 1, (2, 3, 1024))
+    batch = dsp.spectra(frames)
+    assert batch.shape == (2, 3, 1024)
+    for i in range(2):
+        for j in range(3):
+            single = dsp.normalize_spectrum(dsp.dfft_magnitude(frames[i, j]))
+            assert np.allclose(batch[i, j], single, rtol=0, atol=1e-12)
 
 
 # --- normalization ---
@@ -207,13 +269,6 @@ def test_normalize_rejects_negative():
     raw[5] = -0.1
     with pytest.raises(NegativeMagnitude):
         dsp.normalize_magnitudes(raw)
-
-
-def test_normalize_spectrum_builds_frame():
-    frame = dsp.normalize_spectrum(np.ones(1024) * 10.0, start_time=0.375)
-    assert isinstance(frame, dsp.SpectralFrame)
-    assert frame.start_time == 0.375
-    assert np.all((frame.magnitudes >= 0) & (frame.magnitudes <= 1))
 
 
 @given(st.lists(st.floats(min_value=0, max_value=2000), min_size=4, max_size=4),

@@ -6,23 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breathsentinel import rnn
-from breathsentinel.autoencoder import LatentFrame, init_ae
+from breathsentinel.autoencoder import init_ae
 from breathsentinel.errors import EmptyEvalSet
 from breathsentinel.optim import grad_check
 
 
-def make_window(codes, end_time=2.0):
-    codes = np.asarray(codes)
-    frames = tuple(
-        LatentFrame(code=codes[t], start_time=end_time - (16 - t) * 0.125)
-        for t in range(16)
-    )
-    return rnn.Window(frames=frames, end_time=end_time)
-
-
 def random_window(seed=0):
-    codes = np.random.default_rng(seed).uniform(-0.9, 0.9, (16, 50))
-    return make_window(codes)
+    return np.random.default_rng(seed).uniform(-0.9, 0.9, (16, 50))
 
 
 def zeroed_params(seed=0):
@@ -50,13 +40,6 @@ def oracle_forward(params, codes):
 
 # --- types ---
 
-def test_window_requires_16_consecutive_frames():
-    codes = np.zeros((16, 50))
-    with pytest.raises(ValueError):
-        frames = tuple(LatentFrame(code=codes[t], start_time=t * 0.25) for t in range(16))
-        rnn.Window(frames=frames, end_time=4.0)
-
-
 def test_params_pin_hidden_and_output_sizes():
     params = rnn.init_rnn(0)
     assert params.hidden == 75
@@ -69,8 +52,7 @@ def test_params_pin_hidden_and_output_sizes():
 # --- forward ---
 
 def test_zero_params_give_half_scores():
-    scores = rnn.rnn_forward(zeroed_params(), random_window(1))
-    assert np.allclose(scores.scores, 0.5)
+    assert np.allclose(rnn.rnn_forward(zeroed_params(), random_window(1)), 0.5)
 
 
 def test_zero_input_with_zero_wxh_ignores_input():
@@ -80,14 +62,14 @@ def test_zero_input_with_zero_wxh_ignores_input():
     params = rnn.RNNParams.from_dict(tensors)
     a = rnn.rnn_forward(params, random_window(10))
     b = rnn.rnn_forward(params, random_window(11))
-    assert np.array_equal(a.scores, b.scores)  # only the bias chain matters
+    assert np.array_equal(a, b)  # only the bias chain matters
 
 
 def test_forward_matches_recurrence_oracle():
     params = rnn.init_rnn(4)
     window = random_window(5)
-    mine = rnn.rnn_forward(params, window).scores
-    expected = oracle_forward(params, window.codes())
+    mine = rnn.rnn_forward(params, window)
+    expected = oracle_forward(params, window)
     assert np.max(np.abs(mine - expected)) < 1e-6
 
 
@@ -104,12 +86,12 @@ def test_hidden_state_stays_bounded():
 # --- classify ---
 
 def test_classify_examples():
-    assert rnn.classify(rnn.ClassScores(np.array([0.995, 0.30, 0.20]))) == ("inhale", 0.995)
-    assert rnn.classify(rnn.ClassScores(np.array([0.1, 0.2, 0.98]))) == ("unknown", 0.98)
+    assert rnn.classify(np.array([0.995, 0.30, 0.20])) == ("inhale", 0.995)
+    assert rnn.classify(np.array([0.1, 0.2, 0.98])) == ("unknown", 0.98)
 
 
 def test_classify_tie_breaks_by_class_order():
-    label, conf = rnn.classify(rnn.ClassScores(np.array([0.4, 0.4, 0.4])))
+    label, conf = rnn.classify(np.array([0.4, 0.4, 0.4]))
     assert (label, conf) == ("inhale", 0.4)
 
 
@@ -118,8 +100,8 @@ def test_classify_tie_breaks_by_class_order():
        st.floats(min_value=0.1, max_value=3.0))
 def test_classify_invariant_under_monotone_transform(scores, power):
     base = np.array(scores)
-    label_a, _ = rnn.classify(rnn.ClassScores(base))
-    label_b, _ = rnn.classify(rnn.ClassScores(base ** power))  # strictly monotone on (0,1)
+    label_a, _ = rnn.classify(base)
+    label_b, _ = rnn.classify(base ** power)  # strictly monotone on (0,1)
     assert label_a == label_b
 
 
@@ -138,11 +120,11 @@ def test_bptt_matches_finite_differences():
     params = rnn.init_rnn(9)
     window = random_window(10)
     target = rnn.one_hot("exhale")
-    grads = rnn.rnn_backward(params, window, target)
+    grads, _ = rnn._backward_codes(params, window, target)
 
     def loss(tensors):
         p = rnn.RNNParams.from_dict(tensors)
-        _, scores = rnn._forward_codes(p, window.codes())
+        _, scores = rnn._forward_codes(p, window)
         return rnn.bce_loss(scores, target)
 
     err = grad_check(loss, params.to_dict(), grads, sample=12,
@@ -155,12 +137,6 @@ def test_recurrent_gradient_nonzero_for_time_varying_input():
     codes = np.random.default_rng(12).uniform(-0.9, 0.9, (16, 50))
     grads, _ = rnn._backward_codes(params, codes, rnn.one_hot("inhale"))
     assert np.max(np.abs(grads["w_hh"])) > 0
-
-
-def test_backward_rejects_soft_targets_on_public_surface():
-    params = rnn.init_rnn(13)
-    with pytest.raises(ValueError):
-        rnn.rnn_backward(params, random_window(), np.array([0.5, 0.25, 0.25]))
 
 
 # --- metrics ---

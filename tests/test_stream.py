@@ -23,9 +23,7 @@ def frames_for(seconds, seed=None):
         samples = np.zeros(n)
     else:
         samples = np.random.default_rng(seed).uniform(-0.5, 0.5, n)
-    clip = dsp.AudioClip(samples=samples)
-    frames, _ = dsp.frame_signal(clip)
-    return frames
+    return dsp.frame_signal(dsp.AudioClip(samples=samples))
 
 
 def preds(*specs):
@@ -67,6 +65,22 @@ def test_model_errors_carry_stream_position():
     ae.enc_w1[0, 0] = float("nan")  # corrupt after construction-time checks
     with pytest.raises(NonFiniteActivation, match="stream position 0.000"):
         list(infer_stream(ae, init_rnn(0), frames_for(2.0)))
+
+
+def test_infer_stream_pulls_one_frame_per_step():
+    pulled = []
+
+    def source():
+        for frame in frames_for(3.0, seed=2):
+            pulled.append(frame)
+            yield frame
+
+    predictions = infer_stream(init_ae(0), init_rnn(0), source())
+    assert pulled == []
+    next(predictions)
+    assert len(pulled) == 16
+    next(predictions)
+    assert len(pulled) == 17
 
 
 # --- debouncing ---

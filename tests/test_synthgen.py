@@ -15,7 +15,7 @@ from breathsentinel.synthgen import (
 def spectral_centroid(clip):
     # central frames only: that is where the labeled burst sits; the clip
     # edges may carry fragments of neighbouring bursts from the cycle
-    spectra = dsp.clip_spectra(clip)[4:12].mean(axis=0)[:512]
+    spectra = dsp.spectra(dsp.frame_signal(clip))[4:12].mean(axis=0)[:512]
     freqs = np.arange(512) * dsp.SAMPLE_RATE / dsp.FRAME_LEN
     return float(np.sum(freqs * spectra) / np.sum(spectra))
 
