@@ -1,6 +1,6 @@
 """breathsentinel: acoustic respiratory monitoring.
 
-Pipeline: 8192 Hz audio -> 1/8 s frames -> radix-2 FFT magnitudes ->
+Pipeline: 8192 Hz audio -> 1/8 s frames -> 513-bin FFT magnitudes ->
 autoencoder compression to 50 values -> many-to-one recurrent classifier
 -> debounced breath events -> interval-statistics alarms (arrest bound
 and trend t-test). Everything trains and evaluates on a built-in

@@ -5,6 +5,12 @@ sigmoid output so reconstructions match the [0, 1] normalized spectra.
 The 50-value bottleneck activation is the latent code handed to the
 classifier; training is plain reconstruction (mean squared error), no
 labels involved.
+
+The public functions take the 513-bin half spectra the DSP front end
+emits. The 1024-bin layout stays in here: `mirror` rebuilds the full
+spectrum for the decoder target and for ae_backward_batch, and the
+encoder multiplies half spectra by `fold(enc_w1)`, a 513-row first
+layer with the weights of mirrored bins k and 1024-k summed.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .optim import AdagradState, adagrad_step
 
 DIMS = (1024, 256, 50, 256, 1024)
 LATENT_DIM = DIMS[2]
+HALF_BINS = DIMS[0] // 2 + 1  # 513: bins 0..512; bin 1024-k mirrors bin k
 TENSOR_NAMES = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
                 "dec_w1", "dec_b1", "dec_w2", "dec_b2")
 
@@ -87,6 +94,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def mirror(half: np.ndarray) -> np.ndarray:
+    """(..., 513) half spectra -> (..., 1024) full spectra, bin k > 512 set to bin 1024-k."""
+    return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
+
+
+def fold(w1: np.ndarray) -> np.ndarray:
+    """(1024, h) first-layer weights -> (513, h): rows 0 and 512 as they are,
+    row k plus row 1024-k for 0 < k < 512, so half @ fold(w1) == mirror(half) @ w1.
+
+    A fresh array each call: train_ae updates enc_w1 in place, so callers
+    fold once per pass over the data and never keep the result on AEParams.
+    """
+    folded = w1[:HALF_BINS].copy()
+    folded[1:-1] += w1[HALF_BINS:][::-1]
+    return folded
+
+
 def _forward(params: AEParams, x: np.ndarray):
     """All layer activations for a (batch, 1024) input."""
     h1 = np.tanh(x @ params.enc_w1 + params.enc_b1)
@@ -96,38 +120,54 @@ def _forward(params: AEParams, x: np.ndarray):
     return h1, code, h2, recon
 
 
-def encode_batch(params: AEParams, x: np.ndarray) -> np.ndarray:
-    """Latent codes, shape (batch, 50), for a (batch, 1024) matrix of spectra."""
-    h1 = np.tanh(x @ params.enc_w1 + params.enc_b1)
+def encode_batch(params: AEParams, x: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
+    """Latent codes, shape (batch, 50), for a (batch, 513) matrix of half spectra.
+
+    `w1` is fold(params.enc_w1), folded here when not given; a caller that
+    encodes frame after frame with the same weights folds once and passes it.
+    """
+    if w1 is None:
+        w1 = fold(params.enc_w1)
+    h1 = np.tanh(x @ w1 + params.enc_b1)
     code = np.tanh(h1 @ params.enc_w2 + params.enc_b2)
     if not np.isfinite(code).all():
         raise NonFiniteActivation("encoder produced non-finite activations")
     return code
 
 
-def encode(params: AEParams, spectrum: np.ndarray) -> np.ndarray:
-    """Encoder half for one (1024,) spectrum; returns its (50,) latent code."""
-    return encode_batch(params, spectrum[None, :])[0]
+def encode(params: AEParams, spectrum: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
+    """Encoder half for one (513,) half spectrum; returns its (50,) latent code."""
+    return encode_batch(params, spectrum[None, :], w1)[0]
 
 
 def reconstruct(params: AEParams, spectrum: np.ndarray) -> tuple[np.ndarray, float]:
-    """Full forward pass; returns (reconstruction in (0,1)^1024, mse vs input)."""
-    _, _, _, recon = _forward(params, spectrum[None, :])
+    """Full forward pass on a (513,) half spectrum.
+
+    Returns the reconstruction in (0,1)^1024 and its mse against the
+    mirrored 1024-bin input.
+    """
+    full = mirror(spectrum)
+    _, _, _, recon = _forward(params, full[None, :])
     recon = recon[0]
     if not np.isfinite(recon).all():
         raise NonFiniteActivation("decoder produced non-finite activations")
-    mse = float(np.mean((recon - spectrum) ** 2))
+    mse = float(np.mean((recon - full) ** 2))
     return recon, mse
 
 
-def batch_mse(params: AEParams, x: np.ndarray) -> float:
-    """Mean reconstruction mse over a (batch, 1024) matrix."""
+def full_mse(params: AEParams, x: np.ndarray) -> float:
+    """Mean reconstruction mse over a (batch, 1024) matrix, the loss ae_backward_batch takes."""
     _, _, _, recon = _forward(params, x)
     return float(np.mean((recon - x) ** 2))
 
 
+def batch_mse(params: AEParams, x: np.ndarray) -> float:
+    """Mean reconstruction mse over a (batch, 513) matrix of half spectra."""
+    return full_mse(params, mirror(x))
+
+
 def ae_backward_batch(params: AEParams, x: np.ndarray) -> tuple[dict[str, np.ndarray], float]:
-    """Analytic gradients of the mean reconstruction mse over a batch."""
+    """Analytic gradients of the mean reconstruction mse over a (batch, 1024) matrix."""
     h1, code, h2, recon = _forward(params, x)
     b, d = x.shape
     loss = float(np.mean((recon - x) ** 2))
@@ -163,14 +203,15 @@ class AETrainConfig:
 
 
 def train_ae(frames: np.ndarray, config: AETrainConfig) -> tuple[AEParams, list[float]]:
-    """Adagrad minimization of the mean mse on (n, 1024) normalized spectra.
+    """Adagrad minimization of the mean mse on (n, 513) normalized half spectra.
 
-    Returns the trained parameters and the per-epoch mean loss trace;
-    fully deterministic for a fixed config.
+    Each minibatch is mirrored to 1024 bins as it is drawn. Returns the
+    trained parameters and the per-epoch mean loss trace; fully
+    deterministic for a fixed config.
     """
     x = np.ascontiguousarray(frames, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != DIMS[0]:
-        raise ValueError(f"frames must have shape (n, {DIMS[0]}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != HALF_BINS:
+        raise ValueError(f"frames must have shape (n, {HALF_BINS}), got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("need at least one frame to train on")
     if config.batch < 1:
@@ -185,7 +226,7 @@ def train_ae(frames: np.ndarray, config: AETrainConfig) -> tuple[AEParams, list[
         order = rng.permutation(x.shape[0])
         losses = []
         for start in range(0, order.size, config.batch):
-            batch = x[order[start:start + config.batch]]
+            batch = mirror(x[order[start:start + config.batch]])
             grads, loss = ae_backward_batch(params, batch)
             losses.append(loss)
             adagrad_step(tensors, grads, state)

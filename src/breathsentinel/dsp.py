@@ -1,14 +1,16 @@
 """Time-domain framing and frequency-domain preprocessing for breath audio.
 
 All audio is mono PCM at 8192 Hz. A clip is cut into non-overlapping
-1024-sample frames (1/8 s each); every frame goes through a radix-2 FFT
-and the magnitude spectrum is log-compressed into [0, 1]. The full
-1024-bin (mirrored) magnitude vector is kept so downstream layer sizes
-stay fixed.
+1024-sample frames (1/8 s each); every frame goes through a four-step
+FFT and the magnitude spectrum is log-compressed into [0, 1]. Only the
+513 non-redundant bins 0..512 are kept: for a real frame, bin 1024-k
+carries the magnitude of bin k. The compressor mirrors them back to its
+1024 inputs (autoencoder.mirror).
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
@@ -26,6 +28,9 @@ FRAME_SECONDS = FRAME_LEN / SAMPLE_RATE  # 0.125, exactly representable
 CLIP_SECONDS = 2.0
 CLIP_SAMPLES = int(CLIP_SECONDS * SAMPLE_RATE)  # 16384
 NYQUIST_HZ = SAMPLE_RATE // 2
+# bins 0..512 of a real frame's spectrum; bins 513..1023 mirror 511..1
+SPECTRUM_BINS = FRAME_LEN // 2 + 1
+SPECTRA_BLOCK = 256  # frames per FFT call in spectra()
 
 LABELS = ("inhale", "exhale", "unknown")
 
@@ -118,14 +123,24 @@ def pcm_frames(stream, n_bytes: float = math.inf) -> Iterator[np.ndarray]:
 
     Reads 2048 bytes per frame until the stream ends or `n_bytes` are
     used up; a trailing partial frame is dropped, as in frame_signal.
+    The first frame is read before this returns: a stream that ends
+    before one whole frame raises EmptyClip.
     """
     frame_bytes = 2 * FRAME_LEN
-    while n_bytes >= frame_bytes:
-        chunk = stream.read(frame_bytes)
-        if len(chunk) < frame_bytes:
+    chunk = stream.read(min(n_bytes, frame_bytes))
+    if len(chunk) < frame_bytes:
+        raise EmptyClip(f"need at least {FRAME_LEN} samples, got {len(chunk) // 2}")
+    return _pcm_frames(stream, chunk, n_bytes - frame_bytes)
+
+
+def _pcm_frames(stream, chunk: bytes, n_bytes: float) -> Iterator[np.ndarray]:
+    frame_bytes = 2 * FRAME_LEN
+    while len(chunk) == frame_bytes:
+        yield np.frombuffer(chunk, dtype="<i2").astype(np.float64) / 32768.0
+        if n_bytes < frame_bytes:
             return
         n_bytes -= frame_bytes
-        yield np.frombuffer(chunk, dtype="<i2").astype(np.float64) / 32768.0
+        chunk = stream.read(frame_bytes)
 
 
 def wav_frames(f, path) -> Iterator[np.ndarray]:
@@ -134,10 +149,7 @@ def wav_frames(f, path) -> Iterator[np.ndarray]:
     The header is validated before this returns; a file with less than
     one frame of samples raises EmptyClip.
     """
-    n_bytes = _wav_data(f, path)
-    if n_bytes < 2 * FRAME_LEN:
-        raise EmptyClip(f"need at least {FRAME_LEN} samples, got {n_bytes // 2}")
-    return pcm_frames(f, n_bytes)
+    return pcm_frames(f, _wav_data(f, path))
 
 
 def write_wav(path, samples) -> None:
@@ -167,34 +179,48 @@ def frame_signal(clip: AudioClip) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# radix-2 FFT
+# FFT: four-step Cooley-Tukey over cached DFT matrices
 
-_FFT_TABLES: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
+_DIRECT_MAX = 32  # longest transform done as a single DFT-matrix product
 
 
-def _fft_tables(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    cached = _FFT_TABLES.get(n)
-    if cached is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n)
-        rev = np.zeros(n, dtype=np.intp)
-        for _ in range(bits):
-            rev = (rev << 1) | (idx & 1)
-            idx >>= 1
-        twiddles = []
-        size = 2
-        while size <= n:
-            half = size // 2
-            twiddles.append(np.exp(-2j * np.pi * np.arange(half) / size))
-            size *= 2
-        cached = _FFT_TABLES[n] = (rev, twiddles)
-    return cached
+@functools.lru_cache(maxsize=None)
+def _dft_matrix(n: int) -> np.ndarray:
+    """(n, n) matrix w_n^(j k), read-only; symmetric, so x @ F is the DFT of x."""
+    k = np.arange(n)
+    matrix = np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
+    matrix.flags.writeable = False
+    return matrix
+
+
+@functools.lru_cache(maxsize=None)
+def _twiddles(n1: int, n2: int) -> np.ndarray:
+    """(n1, n2) factors w_n^(j1 k2), n = n1 n2, applied between the two passes."""
+    factors = np.exp(-2j * np.pi * np.outer(np.arange(n1), np.arange(n2)) / (n1 * n2))
+    factors.flags.writeable = False
+    return factors
+
+
+def _fft(x: np.ndarray) -> np.ndarray:
+    n = x.shape[-1]
+    if n <= _DIRECT_MAX:
+        return x @ _dft_matrix(n)
+    n1 = min(1 << (n.bit_length() - 1) // 2, _DIRECT_MAX)
+    n2 = n // n1
+    # x[j1 + n1 j2] sits at [j1, j2]; pass 1 takes the n2-point DFTs along j2
+    cols = _fft(x.reshape(x.shape[:-1] + (n2, n1)).swapaxes(-1, -2))
+    cols *= _twiddles(n1, n2)
+    # pass 2 takes the n1-point DFTs along j1 and leaves X[n2 k1 + k2] at [k1, k2]
+    return (_dft_matrix(n1) @ cols).reshape(x.shape[:-1] + (n,))
 
 
 def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT over the last axis.
+    """Four-step (two-pass) Cooley-Tukey FFT over the last axis, any power-of-two length.
 
-    The last axis length must be a power of two. Real or complex input is
+    For n = n1 * n2 the transform is an n2-point DFT, a twiddle multiply
+    and an n1-point DFT, each pass one matrix product with a cached DFT
+    matrix of at most 32 x 32 (a 1024-sample frame is 32 x 32 twice);
+    a longer pass 1 splits again the same way. Real or complex input is
     accepted; the complex spectrum is returned (unnormalized forward
     transform, so Parseval reads sum|X|^2 == n * sum|x|^2).
     """
@@ -202,18 +228,7 @@ def fft_radix2(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"FFT length must be a power of two, got {n}")
-    rev, twiddles = _fft_tables(n)
-    out = np.ascontiguousarray(x[..., rev], dtype=np.complex128)
-    size = 2
-    for w in twiddles:
-        half = size // 2
-        blocks = out.reshape(x.shape[:-1] + (n // size, size))
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * w
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        size *= 2
-    return out
+    return _fft(x)
 
 
 def ifft_radix2(x: np.ndarray) -> np.ndarray:
@@ -223,18 +238,18 @@ def ifft_radix2(x: np.ndarray) -> np.ndarray:
 
 
 def dfft_magnitude(samples: np.ndarray) -> np.ndarray:
-    """Raw magnitude spectrum |X[k]|, k = 0..1023, of one (1024,) frame.
+    """Raw half magnitude spectrum |X[k]|, k = 0..512, of one (1024,) frame.
 
-    The mirrored half is retained: for real input, bins k and 1024-k carry
-    equal magnitude.
+    Bins 513..1023 of a real frame mirror bins 511..1 (|X[k]| == |X[1024-k]|)
+    and are left out.
     """
-    return np.abs(fft_radix2(samples))
+    return np.abs(fft_radix2(samples)[..., :SPECTRUM_BINS])
 
 
 def normalize_magnitudes(raw: np.ndarray) -> np.ndarray:
     """log1p compression with the fixed divisor log(1 + 1024), clamped to [0, 1].
 
-    Works on a single 1024-vector or any stack of them; monotone in every
+    Works on a single magnitude vector or any stack of them; monotone in every
     coordinate and free of per-clip statistics, so it is streaming-safe.
     """
     raw = np.asarray(raw, dtype=np.float64)
@@ -249,10 +264,20 @@ normalize_spectrum = normalize_magnitudes
 
 
 def spectra(frames: np.ndarray) -> np.ndarray:
-    """Normalized magnitude spectra of a (..., 1024) array of frames, same shape.
+    """Normalized half spectra, shape (..., 513), of a (..., 1024) array of frames.
 
     The batch front end: training, evaluation and the tests all turn
     samples into spectra here, with the same arithmetic as the streaming
-    dfft_magnitude + normalize_spectrum pair.
+    dfft_magnitude + normalize_spectrum pair. Frames are transformed
+    SPECTRA_BLOCK at a time, so the complex temporaries stay a few MB
+    however many frames come in.
     """
-    return normalize_magnitudes(np.abs(fft_radix2(frames)))
+    frames = np.asarray(frames)
+    if frames.shape[-1:] != (FRAME_LEN,):
+        raise ValueError(f"frames must have shape (..., {FRAME_LEN}), got {frames.shape}")
+    flat = frames.reshape(-1, FRAME_LEN)
+    out = np.empty((flat.shape[0], SPECTRUM_BINS))
+    for start in range(0, flat.shape[0], SPECTRA_BLOCK):
+        block = fft_radix2(flat[start:start + SPECTRA_BLOCK])[:, :SPECTRUM_BINS]
+        out[start:start + SPECTRA_BLOCK] = normalize_magnitudes(np.abs(block))
+    return out.reshape(frames.shape[:-1] + (SPECTRUM_BINS,))

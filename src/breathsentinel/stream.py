@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import dsp, rnn
-from .autoencoder import AEParams, encode
+from .autoencoder import AEParams, encode, fold
 from .errors import BreathSentinelError, OutOfOrderPrediction
 
 BREATH_KINDS = ("inhale", "exhale")
@@ -48,17 +48,20 @@ def infer_stream(ae: AEParams, params: rnn.RNNParams,
     """DFFT, normalize, and encode each (1024,) frame; classify every full window.
 
     Pulls one frame per step and keeps only the last 16 latent codes.
+    The encoder's first layer is folded to the 513-bin half spectra once
+    per call, when iteration starts.
     Emits one PredictionFrame per incoming frame after the 15-frame
     warmup: 2.000 s of audio yields exactly one prediction, 4.000 s yields
     17. Errors from the DSP or model layers are re-raised with the stream
     position attached.
     """
     window = np.zeros((rnn.WINDOW_FRAMES, rnn.INPUT_DIM))
+    w1 = fold(ae.enc_w1)
     for index, samples in enumerate(frames):
         start_time = index * dsp.FRAME_SECONDS
         try:
             window[:-1] = window[1:]
-            window[-1] = encode(ae, dsp.normalize_spectrum(dsp.dfft_magnitude(samples)))
+            window[-1] = encode(ae, dsp.normalize_spectrum(dsp.dfft_magnitude(samples)), w1)
             if index + 1 >= rnn.WINDOW_FRAMES:
                 end_time = start_time + dsp.FRAME_SECONDS
                 label, confidence = rnn.classify(rnn.rnn_forward(params, window))

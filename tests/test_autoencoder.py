@@ -8,22 +8,27 @@ from breathsentinel.errors import DivergedLoss
 from breathsentinel.optim import grad_check
 
 
-def random_frame(seed=0):
-    return np.random.default_rng(seed).uniform(0, 1, 1024)
+def random_frame(seed=0, bins=ae.HALF_BINS):
+    return np.random.default_rng(seed).uniform(0, 1, bins)
 
 
 def synthetic_frames(n, seed=0):
-    """Smooth band-shaped spectra, roughly what the DSP front end emits."""
+    """Smooth band-shaped half spectra, roughly what the DSP front end emits."""
     rng = np.random.default_rng(seed)
-    bins = np.arange(1024)
+    bins = np.arange(ae.HALF_BINS)
     frames = []
     for _ in range(n):
         center = rng.uniform(50, 400)
         width = rng.uniform(30, 120)
         shape = np.exp(-0.5 * ((bins - center) / width) ** 2)
-        shape = shape + shape[::-1]  # mirrored halves, like real magnitudes
         frames.append(np.clip(shape * rng.uniform(0.2, 0.9), 0, 1))
     return np.stack(frames)
+
+
+def unfolded_codes(params, half):
+    """The encoder as a plain 1024-input network on the mirrored spectra."""
+    h1 = np.tanh(ae.mirror(half) @ params.enc_w1 + params.enc_b1)
+    return np.tanh(h1 @ params.enc_w2 + params.enc_b2)
 
 
 # --- initialization ---
@@ -68,13 +73,52 @@ def test_encode_matches_per_neuron_oracle():
     params = ae.init_ae(6)
     frame = random_frame(2)
     code = ae.encode(params, frame)
-    # naive per-neuron dot products, no matrix ops
-    x = frame
+    # naive per-neuron dot products over the mirrored 1024 bins and the
+    # unfolded enc_w1, no matrix ops
+    x = np.array([frame[min(k, 1024 - k)] for k in range(1024)])
     h1 = np.array([math.tanh(float(np.sum(x * params.enc_w1[:, j])) + params.enc_b1[j])
                    for j in range(256)])
     expected = np.array([math.tanh(float(np.sum(h1 * params.enc_w2[:, j])) + params.enc_b2[j])
                          for j in range(50)])
     assert np.max(np.abs(code - expected)) < 1e-6
+
+
+def test_mirror_rebuilds_the_full_spectrum():
+    half = random_frame(12)
+    full = ae.mirror(half)
+    assert full.shape == (1024,)
+    assert np.array_equal(full[:513], half)
+    assert all(full[1024 - k] == half[k] for k in range(1, 512))
+    assert ae.mirror(np.zeros((4, 3, 513))).shape == (4, 3, 1024)
+
+
+def test_fold_sums_the_mirrored_rows():
+    w1 = ae.init_ae(13).enc_w1
+    folded = ae.fold(w1)
+    assert folded.shape == (513, 256)
+    assert np.array_equal(folded[0], w1[0]) and np.array_equal(folded[512], w1[512])
+    for k in (1, 200, 511):
+        assert np.array_equal(folded[k], w1[k] + w1[1024 - k])
+    assert not np.shares_memory(folded, w1)
+
+
+def test_encode_batch_matches_the_unfolded_layer():
+    params = ae.init_ae(14)
+    half = np.random.default_rng(15).uniform(0, 1, (64, 513))
+    codes = ae.encode_batch(params, half)
+    assert np.max(np.abs(codes - unfolded_codes(params, half))) < 1e-12
+    assert np.array_equal(ae.encode_batch(params, half, ae.fold(params.enc_w1)), codes)
+
+
+def test_encode_folds_the_current_weights():
+    # nothing folded is kept between calls: train_ae updates enc_w1 in place
+    params = ae.init_ae(16)
+    frame = random_frame(17)
+    before = ae.encode(params, frame)
+    params.enc_w1[600] += 1.0  # a mirrored-half row, folded onto bin 424
+    after = ae.encode(params, frame)
+    assert np.max(np.abs(after - unfolded_codes(params, frame[None, :])[0])) < 1e-12
+    assert not np.array_equal(before, after)
 
 
 def test_reconstruction_stays_in_unit_interval():
@@ -89,24 +133,25 @@ def test_mse_is_the_mean_squared_error():
     params = ae.init_ae(8)
     frame = random_frame(4)
     recon, mse = ae.reconstruct(params, frame)
-    assert mse == pytest.approx(float(np.mean((recon - frame) ** 2)), rel=1e-12)
+    assert mse == pytest.approx(float(np.mean((recon - ae.mirror(frame)) ** 2)), rel=1e-12)
+    assert ae.batch_mse(params, frame[None, :]) == pytest.approx(mse, rel=1e-12)
 
 
 def test_latent_dimension_is_50():
     params = ae.init_ae(9)
     assert ae.encode(params, random_frame()).shape == (50,)
-    assert ae.encode_batch(params, np.zeros((3, 1024))).shape == (3, 50)
+    assert ae.encode_batch(params, np.zeros((3, 513))).shape == (3, 50)
 
 
 # --- gradients ---
 
 def test_backward_matches_finite_differences():
     params = ae.init_ae(10)
-    x = random_frame(5)[None, :]
+    x = random_frame(5, bins=1024)[None, :]
     grads, _ = ae.ae_backward_batch(params, x)
 
     def loss(tensors):
-        return ae.batch_mse(ae.AEParams.from_dict(tensors), x)
+        return ae.full_mse(ae.AEParams.from_dict(tensors), x)
 
     err = grad_check(loss, params.to_dict(), grads, sample=8,
                      rng=np.random.default_rng(0))
@@ -125,7 +170,7 @@ def test_gradient_norm_small_after_convergence():
     frames = synthetic_frames(2, seed=1)
     params, trace = ae.train_ae(frames, ae.AETrainConfig(epochs=3000, batch=8, seed=1,
                                                          learning_rate=0.1))
-    grads, _ = ae.ae_backward_batch(params, frames)
+    grads, _ = ae.ae_backward_batch(params, ae.mirror(frames))
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert norm < 1e-3
     assert trace[-1] < trace[0]

@@ -5,7 +5,10 @@ perfbench/worker.py records its layer spans by replacing module attributes
 A refactor that renames or removes one of them breaks ``--trace 0`` and
 ``--trace 1`` without any other test noticing, so this test installs the
 worker's hooks and tracer in a fresh process, runs a short monitor and a
-one-epoch train-ae through them, and checks the per-layer counts.
+one-epoch train-ae and a one-epoch train-rnn through them, and checks the
+per-layer counts. The train-rnn run also pins the training re-encode: its
+batched ``fft_radix2`` calls must reach the tracer, or ``dsp.frames`` and
+``rnn.reencode_share`` would miss them.
 """
 
 import json
@@ -17,6 +20,7 @@ import numpy as np
 
 from breathsentinel import dsp
 from breathsentinel.autoencoder import init_ae
+from breathsentinel.corpus import make_split
 from breathsentinel.model_io import ModelBundle, save_model
 from breathsentinel.rnn import init_rnn
 
@@ -44,7 +48,7 @@ print(json.dumps({name: value for name, (value, _unit) in metrics.items()}))
 """
 
 
-def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir):
+def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir, desk_corpus):
     model = tmp_path / "random.bsm"
     save_model(ModelBundle(ae=init_ae(0), rnn=init_rnn(0)), model)
     wav = tmp_path / "three_seconds.wav"
@@ -53,6 +57,8 @@ def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir):
         ["monitor", "--model", str(model), "--input", str(wav)],
         ["train-ae", "--corpus", str(desk_corpus_dir), "--out", str(tmp_path / "ae.bsm"),
          "--epochs", "1", "--seed", "1"],
+        ["train-rnn", "--corpus", str(desk_corpus_dir), "--model", str(tmp_path / "ae.bsm"),
+         "--out", str(tmp_path / "rnn.bsm"), "--epochs", "1", "--seed", "1"],
     ]
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(PERFBENCH), json.dumps(argv)],
                           capture_output=True, text=True, timeout=300)
@@ -60,7 +66,11 @@ def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir):
     metrics = json.loads(done.stdout.splitlines()[-1])
 
     monitor_frames, corpus_frames = 24, 3 * 140 * 16
-    assert metrics["dsp.frames"] == monitor_frames + corpus_frames
+    # train-rnn encodes the pool once, then the epoch's noise-augmented clips
+    plan = make_split(desk_corpus, 1)
+    reencode_frames = 16 * (len(plan.pool_ids) + len(plan.epoch_draw(0)[1]))
+    assert metrics["dsp.frames"] == monitor_frames + corpus_frames + reencode_frames
+    assert metrics["rnn.reencode_share"] > 0
     assert metrics["rnn.windows"] == monitor_frames - 15
     assert metrics["stream.predictions"] == monitor_frames - 15
     assert metrics["vigil.ticks"] == monitor_frames - 15

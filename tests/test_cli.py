@@ -258,10 +258,38 @@ def test_monitor_stdin_matches_file(untrained_model, tmp_path, capsys, monkeypat
     from_file = capsys.readouterr().out
 
     pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
-    monkeypatch.setattr("sys.stdin", type("FakeStdin", (), {"buffer": io.BytesIO(pcm)})())
-    assert cli.main(["monitor", "--model", str(untrained_model), "--input", "-"]) == 0
+    assert _monitor_stdin(untrained_model, pcm, monkeypatch) == 0
     from_stdin = capsys.readouterr().out
     assert from_stdin == from_file
+
+
+def _monitor_stdin(model, pcm: bytes, monkeypatch) -> int:
+    monkeypatch.setattr("sys.stdin", type("FakeStdin", (), {"buffer": io.BytesIO(pcm)})())
+    return cli.main(["monitor", "--model", str(model), "--input", "-"])
+
+
+@pytest.mark.parametrize("n_bytes", [0, 2000])
+def test_monitor_short_stdin_is_empty_clip(untrained_model, capsys, monkeypatch, n_bytes):
+    assert _monitor_stdin(untrained_model, bytes(n_bytes), monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert "need at least 1024 samples" in captured.err and not captured.out
+
+
+def test_monitor_one_frame_of_stdin_is_quiet(untrained_model, capsys, monkeypatch):
+    # one frame is fewer than the 16 a window needs, as for a WAV of that length
+    assert _monitor_stdin(untrained_model, bytes(2048), monkeypatch) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_monitor_non_finite_encoder_weight_exits_one(untrained_model, breathing_wav, capsys,
+                                                     monkeypatch):
+    bundle = load_model(untrained_model)
+    bundle.ae.enc_w1[700, 3] = float("nan")  # a mirrored-half row, reaches the folded layer
+    monkeypatch.setattr(cli, "load_model", lambda path: bundle)
+    assert cli.main(["monitor", "--model", str(untrained_model),
+                     "--input", str(breathing_wav)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "stream position 0.000 s" in err
 
 
 def test_simulate_writes_report_and_exit_code(untrained_model, tmp_path):

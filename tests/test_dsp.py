@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,21 @@ from breathsentinel.errors import EmptyClip, NegativeMagnitude, NotWav, Unsuppor
 
 
 def naive_dft(x):
-    """O(n^2) reference DFT, independent of the radix-2 path."""
+    """O(n^2) reference DFT, X[k] = sum_j x[j] w^(jk mod n), independent of the FFT path.
+
+    Rows are built a chunk at a time from a table of the n roots of unity,
+    so the oracle stays within a few MB up to n = 16384.
+    """
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    j = np.arange(n)
+    out = np.empty(n, dtype=np.complex128)
+    rows = max(1, 2**18 // n)
+    for start in range(0, n, rows):
+        k = np.arange(start, min(start + rows, n))
+        out[k] = roots[np.outer(k, j) % n] @ x
+    return out
 
 
 # --- WAV loading ---
@@ -197,11 +208,18 @@ def test_zero_frame_transforms_to_zero():
 
 def test_integer_bin_cosine():
     n = np.arange(1024)
-    mags = dsp.dfft_magnitude(np.cos(2 * np.pi * 8 * n / 1024))
+    mags = np.abs(dsp.fft_radix2(np.cos(2 * np.pi * 8 * n / 1024)))
     assert mags[8] == pytest.approx(512.0, abs=1e-9)
     assert mags[1016] == pytest.approx(512.0, abs=1e-9)
     rest = np.delete(mags, [8, 1016])
     assert np.max(rest) < 1e-9
+
+
+def test_dfft_magnitude_is_the_half_spectrum():
+    x = np.random.default_rng(23).uniform(-1, 1, 1024)
+    mags = dsp.dfft_magnitude(x)
+    assert mags.shape == (dsp.SPECTRUM_BINS,) == (513,)
+    assert np.array_equal(mags, np.abs(dsp.fft_radix2(x))[:513])
 
 
 def test_fft_matches_naive_dft_oracle():
@@ -211,6 +229,26 @@ def test_fft_matches_naive_dft_oracle():
         mine = dsp.fft_radix2(x)
         ref = naive_dft(x)
         assert np.max(np.abs(mine - ref)) / np.max(np.abs(ref)) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2**p for p in range(15)])
+def test_fft_matches_naive_dft_oracle_at_every_length(n, kind):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1, 1, n)
+    if kind == "complex":
+        x = x + 1j * rng.uniform(-1, 1, n)
+    mine = dsp.fft_radix2(x)
+    ref = naive_dft(x)
+    assert mine.shape == (n,) and mine.dtype == np.complex128
+    assert np.max(np.abs(mine - ref)) / np.max(np.abs(ref)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 64, 1024, 16384])
+def test_ifft_round_trip(n):
+    rng = np.random.default_rng(n + 1)
+    x = rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n))
+    assert np.max(np.abs(dsp.ifft_radix2(dsp.fft_radix2(x)) - x)) < 1e-12
 
 
 def test_fft_rejects_non_power_of_two():
@@ -229,7 +267,7 @@ def test_parseval_identity():
 
 def test_magnitude_mirror_symmetry():
     rng = np.random.default_rng(13)
-    mags = dsp.dfft_magnitude(rng.uniform(-1, 1, 1024))
+    mags = np.abs(dsp.fft_radix2(rng.uniform(-1, 1, 1024)))
     k = np.arange(1, 512)
     assert np.allclose(mags[k], mags[1024 - k], rtol=1e-9, atol=1e-9)
 
@@ -245,11 +283,40 @@ def test_batched_fft_equals_per_frame():
 def test_spectra_match_the_streaming_stages():
     frames = np.random.default_rng(19).uniform(-1, 1, (2, 3, 1024))
     batch = dsp.spectra(frames)
-    assert batch.shape == (2, 3, 1024)
+    assert batch.shape == (2, 3, 513)
     for i in range(2):
         for j in range(3):
             single = dsp.normalize_spectrum(dsp.dfft_magnitude(frames[i, j]))
             assert np.allclose(batch[i, j], single, rtol=0, atol=1e-12)
+
+
+def test_spectra_blocks_cover_every_frame():
+    n = 2 * dsp.SPECTRA_BLOCK + 37
+    frames = np.random.default_rng(29).uniform(-1, 1, (n, 1024))
+    batch = dsp.spectra(frames)
+    assert batch.shape == (n, 513)
+    for i in range(n):
+        single = dsp.normalize_spectrum(dsp.dfft_magnitude(frames[i]))
+        assert np.allclose(batch[i], single, rtol=0, atol=1e-12), i
+
+
+def test_spectra_rejects_frames_of_the_wrong_length():
+    with pytest.raises(ValueError, match="1024"):
+        dsp.spectra(np.zeros((2, 2048)))
+
+
+def test_spectra_memory_stays_bounded():
+    frames = np.random.default_rng(31).uniform(-1, 1, (2400, 1024))
+    out_bytes = 2400 * 513 * 8
+    tracemalloc.start()
+    try:
+        dsp.spectra(frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus a few complex (SPECTRA_BLOCK, 1024) block temporaries;
+    # transforming all 2400 frames at once holds several 39 MB arrays
+    assert peak < out_bytes + 16 * 2**20, peak
 
 
 # --- normalization ---
