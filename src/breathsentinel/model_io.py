@@ -5,7 +5,7 @@ Layout (all integers unsigned 32-bit little-endian):
     magic "BSM1" (4 bytes)
     format version
     13 tensors in fixed order (encoder/decoder first, classifier after):
-        rank, then one dim per rank, then values as IEEE-754 float32
+        rank (at most 2), then one dim per rank, then values as IEEE-754 float32
         little-endian in row-major order
     metadata byte length, then that many bytes of UTF-8 "key=value"
     lines sorted by key, and nothing after them
@@ -27,6 +27,7 @@ from .errors import BadMagic, CorruptModel, TruncatedFile, VersionMismatch
 
 MAGIC = b"BSM1"
 FORMAT_VERSION = 1
+MAX_RANK = 2  # every tensor is a weight matrix or a bias vector
 
 TENSOR_ORDER = tuple(f"ae.{name}" for name in autoencoder.TENSOR_NAMES) \
     + tuple(f"rnn.{name}" for name in rnn.TENSOR_NAMES)
@@ -95,6 +96,8 @@ def load_model(path) -> ModelBundle:
     tensors: dict[str, np.ndarray] = {}
     for name in TENSOR_ORDER:
         rank = reader.u32(f"tensor {name} rank")
+        if rank > MAX_RANK:
+            raise CorruptModel(f"{path}: tensor {name} has rank {rank}, at most {MAX_RANK}")
         dims = [reader.u32(f"tensor {name} dims") for _ in range(rank)]
         count = 1
         for dim in dims:

@@ -96,14 +96,32 @@ def _forward_codes(params: RNNParams, codes: np.ndarray):
     return h, scores
 
 
-def rnn_forward(params: RNNParams, codes: np.ndarray) -> np.ndarray:
-    """Many-to-one forward pass over a (16, 50) window of latent codes.
+def advance(params: RNNParams, states: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Feed one (50,) code to the 16 windows in flight, in place, with one product.
 
-    Only the final hidden state produces output: three independent
-    sigmoid confidences ordered (inhale, exhale, unknown), not a
-    distribution.
+    `states` is (16, hidden): row r is the hidden state of the window that
+    has taken r + 1 codes. Every window takes the new code at the same
+    step, so row r + 1 becomes tanh(x + row r @ w_hh) and row 0 starts a
+    new window from the zero state. Returns `states`.
     """
-    _, scores = _forward_codes(params, codes)
+    x = code @ params.w_xh + params.b_h
+    pre = states[:-1] @ params.w_hh
+    pre += x
+    np.tanh(pre, out=states[1:])
+    np.tanh(x, out=states[0])
+    return states
+
+
+def rnn_forward(params: RNNParams, states: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Advance the windows in flight by `code` and score the one it completes.
+
+    After `advance`, row 15 of `states` is the final hidden state of the
+    window of the last 16 codes; it alone produces output: three
+    independent sigmoid confidences ordered (inhale, exhale, unknown),
+    not a distribution. The same scores as _forward_codes on those codes.
+    """
+    advance(params, states, code)
+    scores = _sigmoid(states[-1] @ params.w_hy + params.b_y)
     if not np.isfinite(scores).all():
         raise NonFiniteActivation("classifier produced non-finite scores")
     return scores

@@ -47,7 +47,9 @@ def infer_stream(ae: AEParams, params: rnn.RNNParams,
                  frames: Iterable[np.ndarray]) -> Iterator[PredictionFrame]:
     """DFFT, normalize, and encode each (1024,) frame; classify every full window.
 
-    Pulls one frame per step and keeps only the last 16 latent codes.
+    Pulls one frame per step and keeps no codes: the hidden states of the
+    16 windows in flight move forward together with each new code
+    (rnn.advance), and the window completed at that step is scored.
     The encoder's first layer is folded to the 513-bin half spectra once
     per call, when iteration starts.
     Emits one PredictionFrame per incoming frame after the 15-frame
@@ -55,16 +57,17 @@ def infer_stream(ae: AEParams, params: rnn.RNNParams,
     17. Errors from the DSP or model layers are re-raised with the stream
     position attached.
     """
-    window = np.zeros((rnn.WINDOW_FRAMES, rnn.INPUT_DIM))
+    states = np.zeros((rnn.WINDOW_FRAMES, params.hidden))
     w1 = fold(ae.enc_w1)
     for index, samples in enumerate(frames):
         start_time = index * dsp.FRAME_SECONDS
         try:
-            window[:-1] = window[1:]
-            window[-1] = encode(ae, dsp.normalize_spectrum(dsp.dfft_magnitude(samples)), w1)
-            if index + 1 >= rnn.WINDOW_FRAMES:
+            code = encode(ae, dsp.normalize_spectrum(dsp.dfft_magnitude(samples)), w1)
+            if index + 1 < rnn.WINDOW_FRAMES:
+                rnn.advance(params, states, code)
+            else:
                 end_time = start_time + dsp.FRAME_SECONDS
-                label, confidence = rnn.classify(rnn.rnn_forward(params, window))
+                label, confidence = rnn.classify(rnn.rnn_forward(params, states, code))
                 yield PredictionFrame(end_time=end_time, label=label, confidence=confidence)
         except BreathSentinelError as exc:
             raise type(exc)(f"at stream position {start_time:.3f} s: {exc}") from exc

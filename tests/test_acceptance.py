@@ -100,7 +100,9 @@ def test_criterion_1_fft_matches_naive_dft():
     rng = np.random.default_rng(0)
     started = time.perf_counter()
     k = np.arange(1024)
-    dft_matrix = np.exp(-2j * np.pi * np.outer(k, k) / 1024)  # naive O(n^2) oracle
+    # naive O(n^2) oracle; k*j is reduced mod 1024 so the angles stay in [0, 2*pi)
+    # and the printed error is the FFT's, not the oracle's own rounding
+    dft_matrix = np.exp(-2j * np.pi * (np.outer(k, k) % 1024) / 1024)
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-1.0, 1.0, 1024)

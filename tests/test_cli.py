@@ -166,6 +166,17 @@ def test_monitor_rejects_transposed_tensor_dims(untrained_model, tmp_path, capsy
     assert "enc_w1" in err
 
 
+def test_monitor_rejects_a_rank_past_two(untrained_model, tmp_path, capsys):
+    data = bytearray(untrained_model.read_bytes())
+    # ae.enc_b1 follows enc_w1; its 256 zero biases would read as 64 more dims of 0,
+    # which numpy cannot reshape to
+    at = 20 + 4 * 1024 * 256
+    assert data[at:at + 8] == b"".join(n.to_bytes(4, "little") for n in (1, 256))
+    data[at:at + 4] = (65).to_bytes(4, "little")
+    err = _monitor_with_model_bytes(bytes(data), tmp_path, capsys)
+    assert "enc_b1 has rank 65" in err
+
+
 def test_monitor_rejects_trailing_bytes(untrained_model, tmp_path, capsys):
     err = _monitor_with_model_bytes(untrained_model.read_bytes() + b"\0", tmp_path, capsys)
     assert "1 unexpected bytes" in err
@@ -234,7 +245,7 @@ def test_monitor_accepts_scores_saturated_at_one(breathing_wav, tmp_path, capsys
     bundle, path = _saturated_model(tmp_path, "rnn", "w_hy", 1000.0)
     frames = dsp.frame_signal(dsp.load_wav(breathing_wav))
     codes = encode_batch(bundle.ae, dsp.spectra(frames[:rnn.WINDOW_FRAMES]))
-    assert rnn.rnn_forward(bundle.rnn, codes).max() == 1.0  # sigmoid saturated exactly
+    assert rnn._forward_codes(bundle.rnn, codes)[1].max() == 1.0  # sigmoid saturated exactly
     assert _monitor_lines(path, breathing_wav, capsys)
 
 

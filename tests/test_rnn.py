@@ -51,8 +51,12 @@ def test_params_pin_hidden_and_output_sizes():
 
 # --- forward ---
 
+def window_scores(params, window):
+    return rnn._forward_codes(params, window)[1]
+
+
 def test_zero_params_give_half_scores():
-    assert np.allclose(rnn.rnn_forward(zeroed_params(), random_window(1)), 0.5)
+    assert np.allclose(window_scores(zeroed_params(), random_window(1)), 0.5)
 
 
 def test_zero_input_with_zero_wxh_ignores_input():
@@ -60,17 +64,30 @@ def test_zero_input_with_zero_wxh_ignores_input():
     tensors = params.to_dict()
     tensors["w_xh"] = np.zeros_like(tensors["w_xh"])
     params = rnn.RNNParams.from_dict(tensors)
-    a = rnn.rnn_forward(params, random_window(10))
-    b = rnn.rnn_forward(params, random_window(11))
+    a = window_scores(params, random_window(10))
+    b = window_scores(params, random_window(11))
     assert np.array_equal(a, b)  # only the bias chain matters
 
 
 def test_forward_matches_recurrence_oracle():
     params = rnn.init_rnn(4)
     window = random_window(5)
-    mine = rnn.rnn_forward(params, window)
+    mine = window_scores(params, window)
     expected = oracle_forward(params, window)
     assert np.max(np.abs(mine - expected)) < 1e-6
+
+
+@pytest.mark.parametrize("hidden", [75, 7])
+def test_windows_in_flight_match_the_per_window_recurrence(hidden):
+    params = rnn.init_rnn(8, hidden)
+    codes = np.random.default_rng(hidden).uniform(-1.0, 1.0, (200, 50))
+    states = np.zeros((rnn.WINDOW_FRAMES, hidden))
+    for code in codes[:rnn.WINDOW_FRAMES - 1]:
+        assert rnn.advance(params, states, code) is states
+    for end in range(rnn.WINDOW_FRAMES, codes.shape[0] + 1):
+        scores = rnn.rnn_forward(params, states, codes[end - 1])
+        expected = window_scores(params, codes[end - rnn.WINDOW_FRAMES:end])
+        assert np.max(np.abs(scores - expected)) < 1e-12, end
 
 
 def test_hidden_state_stays_bounded():

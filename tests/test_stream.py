@@ -67,6 +67,15 @@ def test_model_errors_carry_stream_position():
         list(infer_stream(ae, init_rnn(0), frames_for(2.0)))
 
 
+def test_non_finite_recurrent_weight_fails_at_the_first_window():
+    from breathsentinel.errors import NonFiniteActivation
+
+    params = init_rnn(0)
+    params.w_hh[2, 5] = float("nan")  # corrupt after construction-time checks
+    with pytest.raises(NonFiniteActivation, match="stream position 1.875"):
+        list(infer_stream(init_ae(0), params, frames_for(3.0, seed=3)))
+
+
 def test_infer_stream_pulls_one_frame_per_step():
     pulled = []
 
