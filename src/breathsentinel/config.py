@@ -92,8 +92,12 @@ def _coerce(key: str, raw: str):
 
 def load_config(path) -> RunConfig:
     """Parse a flat key=value file; unknown keys are rejected."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from None
     cfg = RunConfig()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -4,8 +4,7 @@ All audio is mono PCM at 8192 Hz. A clip is cut into non-overlapping
 1024-sample frames (1/8 s each); every frame goes through a four-step
 FFT and the magnitude spectrum is log-compressed into [0, 1]. Only the
 513 non-redundant bins 0..512 are kept: for a real frame, bin 1024-k
-carries the magnitude of bin k. The compressor mirrors them back to its
-1024 inputs (autoencoder.mirror).
+carries the magnitude of bin k.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ FRAME_SECONDS = FRAME_LEN / SAMPLE_RATE  # 0.125, exactly representable
 CLIP_SECONDS = 2.0
 CLIP_SAMPLES = int(CLIP_SECONDS * SAMPLE_RATE)  # 16384
 NYQUIST_HZ = SAMPLE_RATE // 2
-# bins 0..512 of a real frame's spectrum; bins 513..1023 mirror 511..1
+# bins 0..512 of a real frame's spectrum; bins 513..1023 repeat 511..1
 SPECTRUM_BINS = FRAME_LEN // 2 + 1
 SPECTRA_BLOCK = 256  # frames per FFT call in spectra()
 
@@ -240,7 +239,7 @@ def ifft_radix2(x: np.ndarray) -> np.ndarray:
 def dfft_magnitude(samples: np.ndarray) -> np.ndarray:
     """Raw half magnitude spectrum |X[k]|, k = 0..512, of one (1024,) frame.
 
-    Bins 513..1023 of a real frame mirror bins 511..1 (|X[k]| == |X[1024-k]|)
+    Bins 513..1023 of a real frame repeat bins 511..1 (|X[k]| == |X[1024-k]|)
     and are left out.
     """
     return np.abs(fft_radix2(samples)[..., :SPECTRUM_BINS])

@@ -1,17 +1,26 @@
 """Binary model bundle: both networks plus training metadata in one file.
 
-Layout (all integers unsigned 32-bit little-endian):
+Layout of format 2 (all integers unsigned 32-bit little-endian):
 
     magic "BSM1" (4 bytes)
-    format version
+    format version (2)
     13 tensors in fixed order (encoder/decoder first, classifier after):
         rank (at most 2), then one dim per rank, then values as IEEE-754 float32
-        little-endian in row-major order
+        little-endian in row-major order; the compressor's first and last
+        layers are (513, 256) and (256, 513), over half spectra
     metadata byte length, then that many bytes of UTF-8 "key=value"
     lines sorted by key, and nothing after them
 
 Values are stored as float32; loading widens them back to float64
 exactly, so save -> load -> save reproduces the file byte for byte.
+
+Format 1 has the same layout around a compressor over the full 1024-bin
+spectrum, in which bin 1024-k repeats bin k: `enc_w1` is (1024, 256),
+`dec_w2` (256, 1024) and `dec_b2` (1024,). It still loads. The rows of
+`enc_w1` for bins k and 1024-k are summed in float64, which gives the
+same codes on half spectra; the matching `dec_w2` columns and `dec_b2`
+entries are averaged, which only reconstructions see. Saving always
+writes format 2.
 """
 
 from __future__ import annotations
@@ -23,11 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import autoencoder, rnn
+from .dsp import FRAME_LEN, SPECTRUM_BINS
 from .errors import BadMagic, CorruptModel, TruncatedFile, VersionMismatch
 
 MAGIC = b"BSM1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAX_RANK = 2  # every tensor is a weight matrix or a bias vector
+V1_SHAPES = {"ae.enc_w1": (FRAME_LEN, autoencoder.DIMS[1]),
+             "ae.dec_w2": (autoencoder.DIMS[3], FRAME_LEN), "ae.dec_b2": (FRAME_LEN,)}
 
 TENSOR_ORDER = tuple(f"ae.{name}" for name in autoencoder.TENSOR_NAMES) \
     + tuple(f"rnn.{name}" for name in rnn.TENSOR_NAMES)
@@ -90,8 +102,8 @@ def load_model(path) -> ModelBundle:
     if magic != MAGIC:
         raise BadMagic(f"{path}: magic {magic!r} is not {MAGIC!r}")
     version = reader.u32("format version")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    if version not in (1, FORMAT_VERSION):
+        raise VersionMismatch(f"{path}: format version {version}, expected 1 or {FORMAT_VERSION}")
 
     tensors: dict[str, np.ndarray] = {}
     for name in TENSOR_ORDER:
@@ -119,6 +131,8 @@ def load_model(path) -> ModelBundle:
         key, _, value = line.partition("=")
         metadata[key] = value
 
+    if version == 1:
+        _from_v1(tensors, path)
     try:
         ae_params = autoencoder.AEParams.from_dict(
             {name.split(".", 1)[1]: arr for name, arr in tensors.items() if name.startswith("ae.")})
@@ -127,3 +141,20 @@ def load_model(path) -> ModelBundle:
     except ValueError as exc:
         raise CorruptModel(f"{path}: {exc}") from exc
     return ModelBundle(ae=ae_params, rnn=rnn_params, metadata=metadata)
+
+
+def _from_v1(tensors: dict[str, np.ndarray], path) -> None:
+    """Bring a format-1 compressor's 1024-bin first and last layers to 513 bins, in place."""
+    for name, shape in V1_SHAPES.items():
+        if tensors[name].shape != shape:
+            raise CorruptModel(f"{path}: format 1 tensor {name} must have shape {shape}, "
+                               f"got {tensors[name].shape}")
+    w1 = tensors["ae.enc_w1"]
+    enc_w1 = w1[:SPECTRUM_BINS].copy()
+    enc_w1[1:-1] += w1[SPECTRUM_BINS:][::-1]
+    tensors["ae.enc_w1"] = enc_w1
+    for name in ("ae.dec_w2", "ae.dec_b2"):
+        full = tensors[name]
+        half = full[..., :SPECTRUM_BINS].copy()
+        half[..., 1:-1] = (half[..., 1:-1] + full[..., SPECTRUM_BINS:][..., ::-1]) / 2
+        tensors[name] = half

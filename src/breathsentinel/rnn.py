@@ -196,10 +196,7 @@ class EvalMetrics:
 
 
 def _encode_samples(ae: AEParams, samples_matrix: np.ndarray) -> np.ndarray:
-    """(n_clips, 16384) samples -> (n_clips, 16, 50) latent code sequences.
-
-    One encode_batch call, so the encoder's first layer is folded once.
-    """
+    """(n_clips, 16384) samples -> (n_clips, 16, 50) latent code sequences."""
     n = samples_matrix.shape[0]
     frames = samples_matrix.reshape(n * WINDOW_FRAMES, dsp.FRAME_LEN)
     return encode_batch(ae, dsp.spectra(frames)).reshape(n, WINDOW_FRAMES, INPUT_DIM)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import dsp, rnn
-from .autoencoder import AEParams, encode, fold
+from .autoencoder import AEParams, encode
 from .errors import BreathSentinelError, OutOfOrderPrediction
 
 BREATH_KINDS = ("inhale", "exhale")
@@ -50,19 +50,16 @@ def infer_stream(ae: AEParams, params: rnn.RNNParams,
     Pulls one frame per step and keeps no codes: the hidden states of the
     16 windows in flight move forward together with each new code
     (rnn.advance), and the window completed at that step is scored.
-    The encoder's first layer is folded to the 513-bin half spectra once
-    per call, when iteration starts.
     Emits one PredictionFrame per incoming frame after the 15-frame
     warmup: 2.000 s of audio yields exactly one prediction, 4.000 s yields
     17. Errors from the DSP or model layers are re-raised with the stream
     position attached.
     """
     states = np.zeros((rnn.WINDOW_FRAMES, params.hidden))
-    w1 = fold(ae.enc_w1)
     for index, samples in enumerate(frames):
         start_time = index * dsp.FRAME_SECONDS
         try:
-            code = encode(ae, dsp.normalize_spectrum(dsp.dfft_magnitude(samples)), w1)
+            code = encode(ae, dsp.normalize_spectrum(dsp.dfft_magnitude(samples)))
             if index + 1 < rnn.WINDOW_FRAMES:
                 rnn.advance(params, states, code)
             else:

@@ -121,11 +121,11 @@ def test_criterion_2_gradient_fidelity():
     worst_ae = 0.0
     for i in range(10):
         params = ae_mod.init_ae(100 + i)
-        x = rng.uniform(0, 1, (1, 1024))
+        x = rng.uniform(0, 1, (1, 513))
         grads, _ = ae_mod.ae_backward_batch(params, x)
 
         def loss(tensors, x=x):
-            return ae_mod.full_mse(ae_mod.AEParams.from_dict(tensors), x)
+            return ae_mod.batch_mse(ae_mod.AEParams.from_dict(tensors), x)
 
         worst_ae = max(worst_ae, grad_check(loss, params.to_dict(), grads,
                                             sample=20, rng=rng))

@@ -8,14 +8,14 @@ from breathsentinel.errors import DivergedLoss
 from breathsentinel.optim import grad_check
 
 
-def random_frame(seed=0, bins=ae.HALF_BINS):
+def random_frame(seed=0, bins=ae.DIMS[0]):
     return np.random.default_rng(seed).uniform(0, 1, bins)
 
 
 def synthetic_frames(n, seed=0):
     """Smooth band-shaped half spectra, roughly what the DSP front end emits."""
     rng = np.random.default_rng(seed)
-    bins = np.arange(ae.HALF_BINS)
+    bins = np.arange(ae.DIMS[0])
     frames = []
     for _ in range(n):
         center = rng.uniform(50, 400)
@@ -25,10 +25,14 @@ def synthetic_frames(n, seed=0):
     return np.stack(frames)
 
 
-def unfolded_codes(params, half):
-    """The encoder as a plain 1024-input network on the mirrored spectra."""
-    h1 = np.tanh(ae.mirror(half) @ params.enc_w1 + params.enc_b1)
-    return np.tanh(h1 @ params.enc_w2 + params.enc_b2)
+def masked_sigmoid(z):
+    """The logistic function built through boolean-mask indexing, as an oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 # --- initialization ---
@@ -47,7 +51,7 @@ def test_init_differs_between_seeds():
 
 def test_init_weight_mean_near_zero():
     params = ae.init_ae(3)
-    assert abs(float(params.enc_w1.mean())) < 0.01  # 1024*256 samples of uniform
+    assert abs(float(params.enc_w1.mean())) < 0.01  # 513*256 samples of uniform
 
 
 def test_init_biases_zero():
@@ -73,68 +77,54 @@ def test_encode_matches_per_neuron_oracle():
     params = ae.init_ae(6)
     frame = random_frame(2)
     code = ae.encode(params, frame)
-    # naive per-neuron dot products over the mirrored 1024 bins and the
-    # unfolded enc_w1, no matrix ops
-    x = np.array([frame[min(k, 1024 - k)] for k in range(1024)])
-    h1 = np.array([math.tanh(float(np.sum(x * params.enc_w1[:, j])) + params.enc_b1[j])
+    # naive per-neuron dot products over the 513 bins, no matrix ops
+    h1 = np.array([math.tanh(float(np.sum(frame * params.enc_w1[:, j])) + params.enc_b1[j])
                    for j in range(256)])
     expected = np.array([math.tanh(float(np.sum(h1 * params.enc_w2[:, j])) + params.enc_b2[j])
                          for j in range(50)])
     assert np.max(np.abs(code - expected)) < 1e-6
 
 
-def test_mirror_rebuilds_the_full_spectrum():
-    half = random_frame(12)
-    full = ae.mirror(half)
-    assert full.shape == (1024,)
-    assert np.array_equal(full[:513], half)
-    assert all(full[1024 - k] == half[k] for k in range(1, 512))
-    assert ae.mirror(np.zeros((4, 3, 513))).shape == (4, 3, 1024)
-
-
-def test_fold_sums_the_mirrored_rows():
-    w1 = ae.init_ae(13).enc_w1
-    folded = ae.fold(w1)
-    assert folded.shape == (513, 256)
-    assert np.array_equal(folded[0], w1[0]) and np.array_equal(folded[512], w1[512])
-    for k in (1, 200, 511):
-        assert np.array_equal(folded[k], w1[k] + w1[1024 - k])
-    assert not np.shares_memory(folded, w1)
-
-
-def test_encode_batch_matches_the_unfolded_layer():
+def test_encode_batch_matches_encode_row_by_row():
     params = ae.init_ae(14)
     half = np.random.default_rng(15).uniform(0, 1, (64, 513))
     codes = ae.encode_batch(params, half)
-    assert np.max(np.abs(codes - unfolded_codes(params, half))) < 1e-12
-    assert np.array_equal(ae.encode_batch(params, half, ae.fold(params.enc_w1)), codes)
+    rows = np.stack([ae.encode(params, frame) for frame in half])
+    assert np.max(np.abs(codes - rows)) < 1e-12
 
 
-def test_encode_folds_the_current_weights():
-    # nothing folded is kept between calls: train_ae updates enc_w1 in place
-    params = ae.init_ae(16)
-    frame = random_frame(17)
-    before = ae.encode(params, frame)
-    params.enc_w1[600] += 1.0  # a mirrored-half row, folded onto bin 424
-    after = ae.encode(params, frame)
-    assert np.max(np.abs(after - unfolded_codes(params, frame[None, :])[0])) < 1e-12
-    assert not np.array_equal(before, after)
+def test_sigmoid_matches_the_masked_form():
+    rng = np.random.default_rng(18)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0, 36.0, -36.0]
+    z = np.concatenate([rng.normal(0, 10, 4991), specials]).reshape(-1, 10)
+    assert np.array_equal(ae._sigmoid(z), masked_sigmoid(z), equal_nan=True)
+    assert ae._sigmoid(z).shape == z.shape
 
 
 def test_reconstruction_stays_in_unit_interval():
     params = ae.init_ae(7)
     recon, mse = ae.reconstruct(params, random_frame(3))
-    assert recon.shape == (1024,)
+    assert recon.shape == (513,)
     assert np.all((recon > 0) & (recon < 1))
     assert mse >= 0.0
 
 
+def test_bin_weights_count_each_half_bin_as_its_full_spectrum_bins():
+    w = ae.BIN_WEIGHTS
+    assert w.shape == (513,) and w[0] == w[512] == 1 / 1024
+    assert np.all(w[1:512] == 2 / 1024) and w.sum() == 1.0
+
+
 def test_mse_is_the_mean_squared_error():
+    def full(half):  # the 1024-bin spectrum, bin 1024-k repeating bin k
+        return np.concatenate([half, half[-2:0:-1]])
+
     params = ae.init_ae(8)
     frame = random_frame(4)
     recon, mse = ae.reconstruct(params, frame)
-    assert mse == pytest.approx(float(np.mean((recon - ae.mirror(frame)) ** 2)), rel=1e-12)
+    assert mse == pytest.approx(float(np.sum(ae.BIN_WEIGHTS * (recon - frame) ** 2)), rel=1e-12)
     assert ae.batch_mse(params, frame[None, :]) == pytest.approx(mse, rel=1e-12)
+    assert mse == pytest.approx(float(np.mean((full(recon) - full(frame)) ** 2)), rel=1e-12)
 
 
 def test_latent_dimension_is_50():
@@ -147,11 +137,11 @@ def test_latent_dimension_is_50():
 
 def test_backward_matches_finite_differences():
     params = ae.init_ae(10)
-    x = random_frame(5, bins=1024)[None, :]
+    x = random_frame(5)[None, :]
     grads, _ = ae.ae_backward_batch(params, x)
 
     def loss(tensors):
-        return ae.full_mse(ae.AEParams.from_dict(tensors), x)
+        return ae.batch_mse(ae.AEParams.from_dict(tensors), x)
 
     err = grad_check(loss, params.to_dict(), grads, sample=8,
                      rng=np.random.default_rng(0))
@@ -160,7 +150,7 @@ def test_backward_matches_finite_differences():
 
 def test_zero_input_zero_bias_first_layer_gradient_is_zero():
     params = ae.init_ae(11)
-    grads, _ = ae.ae_backward_batch(params, np.zeros((1, 1024)))
+    grads, _ = ae.ae_backward_batch(params, np.zeros((1, 513)))
     assert not grads["enc_w1"].any()  # chain rule: dL/dW1 = x^T * dh1, x = 0
     assert grads["enc_b1"].any()
 
@@ -170,7 +160,7 @@ def test_gradient_norm_small_after_convergence():
     frames = synthetic_frames(2, seed=1)
     params, trace = ae.train_ae(frames, ae.AETrainConfig(epochs=3000, batch=8, seed=1,
                                                          learning_rate=0.1))
-    grads, _ = ae.ae_backward_batch(params, ae.mirror(frames))
+    grads, _ = ae.ae_backward_batch(params, frames)
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert norm < 1e-3
     assert trace[-1] < trace[0]

@@ -159,8 +159,8 @@ def test_monitor_rejects_non_utf8_metadata(untrained_model, tmp_path, capsys):
 
 def test_monitor_rejects_transposed_tensor_dims(untrained_model, tmp_path, capsys):
     data = bytearray(untrained_model.read_bytes())
-    # ae.enc_w1 is the first tensor: rank at offset 8, then dims 1024 and 256
-    assert data[8:20] == b"".join(n.to_bytes(4, "little") for n in (2, 1024, 256))
+    # ae.enc_w1 is the first tensor: rank at offset 8, then dims 513 and 256
+    assert data[8:20] == b"".join(n.to_bytes(4, "little") for n in (2, 513, 256))
     data[12:20] = data[16:20] + data[12:16]
     err = _monitor_with_model_bytes(bytes(data), tmp_path, capsys)
     assert "enc_w1" in err
@@ -170,7 +170,7 @@ def test_monitor_rejects_a_rank_past_two(untrained_model, tmp_path, capsys):
     data = bytearray(untrained_model.read_bytes())
     # ae.enc_b1 follows enc_w1; its 256 zero biases would read as 64 more dims of 0,
     # which numpy cannot reshape to
-    at = 20 + 4 * 1024 * 256
+    at = 20 + 4 * 513 * 256
     assert data[at:at + 8] == b"".join(n.to_bytes(4, "little") for n in (1, 256))
     data[at:at + 4] = (65).to_bytes(4, "little")
     err = _monitor_with_model_bytes(bytes(data), tmp_path, capsys)
@@ -295,7 +295,7 @@ def test_monitor_one_frame_of_stdin_is_quiet(untrained_model, capsys, monkeypatc
 def test_monitor_non_finite_encoder_weight_exits_one(untrained_model, breathing_wav, capsys,
                                                      monkeypatch):
     bundle = load_model(untrained_model)
-    bundle.ae.enc_w1[700, 3] = float("nan")  # a mirrored-half row, reaches the folded layer
+    bundle.ae.enc_w1[424, 3] = float("nan")
     monkeypatch.setattr(cli, "load_model", lambda path: bundle)
     assert cli.main(["monitor", "--model", str(untrained_model),
                      "--input", str(breathing_wav)]) == 1

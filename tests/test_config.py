@@ -36,6 +36,13 @@ def test_unparseable_value_rejected(tmp_path):
         load_config(path)
 
 
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed=\xff\xfe\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(path)
+
+
 def test_missing_equals_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed 9\n")

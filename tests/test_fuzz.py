@@ -1,4 +1,5 @@
-"""Malformed model bundles and raw PCM must end as a typed error, never a traceback.
+"""Malformed model bundles, WAV files, config files and raw PCM must end as a
+typed error, never a traceback.
 
 Every case runs through ``cli.main(["monitor", ...])`` and must give exit
 0, or exit 1 with an ``error:`` line on stderr. Any other exception
@@ -23,6 +24,10 @@ from breathsentinel.rnn import init_rnn
 
 FUZZ = settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 FRAME_BYTES = 2 * dsp.FRAME_LEN
+WAV_HEADER_BYTES = 44
+CONFIG = (b"# detection settings\nseed=11\nconfidence=0.99\nrun_length=3\n"
+          b"interval_window=20\ntrend_alpha=0.05\nci_level=0.8\nrefractory=1.0\n"
+          b"noise_aug=true\n")
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +55,9 @@ def _field_bytes(data: bytes) -> list[int]:
 
 
 @st.composite
-def mutations(draw, data: bytes):
-    """Bit flips, a truncation or a spliced tail, mostly aimed at the framing fields."""
-    position = st.one_of(st.sampled_from(_field_bytes(data)), st.integers(0, len(data) - 1))
+def mutations(draw, data: bytes, fields):
+    """Bit flips, a truncation or a spliced tail, mostly aimed at the offsets in `fields`."""
+    position = st.one_of(st.sampled_from(fields), st.integers(0, len(data) - 1))
     kind = draw(st.sampled_from(("flip", "truncate", "splice")))
     if kind == "flip":
         out = bytearray(data)
@@ -64,19 +69,35 @@ def mutations(draw, data: bytes):
     return data[:cut] + tail
 
 
-def _monitor(model, source: str) -> tuple[int, str]:
+@st.composite
+def wav_mutations(draw, data: bytes):
+    """The mutations above aimed at the header, bytes inserted into it, or a rewritten chunk size."""
+    kind = draw(st.sampled_from(("mutate", "insert", "size")))
+    if kind == "mutate":
+        return draw(mutations(data, range(WAV_HEADER_BYTES)))
+    if kind == "insert":
+        cut = draw(st.integers(0, WAV_HEADER_BYTES))
+        return data[:cut] + draw(st.binary(min_size=1, max_size=64)) + data[cut:]
+    at = draw(st.sampled_from((4, 16, 40)))  # the RIFF, 'fmt ' and 'data' chunk sizes
+    size = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 64),
+                          st.integers(len(data) - 64, len(data) + 64)))
+    return data[:at] + struct.pack("<I", size) + data[at + 4:]
+
+
+def _monitor(model, source: str, *extra: str) -> tuple[int, str]:
     err = io.StringIO()
     # overflow in a wild weight is a warning, and the NaN it leads to a typed error
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
             np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["monitor", "--model", str(model), "--input", source])
+        code = cli.main(["monitor", "--model", str(model), "--input", source, *extra])
     return code, err.getvalue()
 
 
 @FUZZ
 @given(data=st.data())
 def test_mutated_bundle_ends_in_a_typed_error(workdir, data):
-    blob = data.draw(mutations((workdir / "valid.bsm").read_bytes()))
+    bundle = (workdir / "valid.bsm").read_bytes()
+    blob = data.draw(mutations(bundle, _field_bytes(bundle)))
     model = workdir / "mutated.bsm"
     model.write_bytes(blob)
     code, err = _monitor(model, str(workdir / "short.wav"))
@@ -100,3 +121,22 @@ def test_raw_pcm_ends_in_exit_zero_or_a_typed_error(workdir, n_bytes, seed, fill
         assert code == 1 and err.startswith("error: need at least 1024 samples"), (code, err)
     else:
         assert code == 0, err
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_wav_header_ends_in_a_typed_error(workdir, data):
+    blob = data.draw(wav_mutations((workdir / "short.wav").read_bytes()))
+    wav = workdir / "mutated.wav"
+    wav.write_bytes(blob)
+    code, err = _monitor(workdir / "valid.bsm", str(wav))
+    assert code == 0 or (code == 1 and err.startswith("error: ")), (code, err)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_config_ends_in_a_typed_error(workdir, data):
+    cfg = workdir / "mutated.cfg"
+    cfg.write_bytes(data.draw(mutations(CONFIG, range(len(CONFIG)))))
+    code, err = _monitor(workdir / "valid.bsm", str(workdir / "short.wav"), "--config", str(cfg))
+    assert code == 0 or (code == 1 and err.startswith("error: ")), (code, err)
