@@ -17,13 +17,13 @@ import numpy as np
 
 from . import dsp
 from .autoencoder import AETrainConfig, train_ae
-from .config import RunConfig, load_config
+from .config import SEED_ENV_VAR, RunConfig, load_config
 from .corpus import load_corpus, make_split
-from .errors import BreathSentinelError
+from .errors import BreathSentinelError, ConfigError
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import RNNTrainConfig, evaluate, init_rnn, train_rnn
 from .stream import BreathEvent, infer_stream, match_events
-from .synthgen import ScenarioSpec, gen_corpus, gen_scenario, write_scenario
+from .synthgen import MIN_PER_CLASS, ScenarioSpec, gen_corpus, gen_scenario, write_scenario
 from .vigil import Alert, run_detection
 
 EX_OK = 0
@@ -89,6 +89,8 @@ def _format_line(item) -> str:
 
 def cmd_synth_corpus(args) -> int:
     cfg = _resolve_config(args)
+    if args.per_class < MIN_PER_CLASS:
+        raise ConfigError(f"--per-class={args.per_class}: must be >= {MIN_PER_CLASS}")
     corpus = gen_corpus(args.per_class, cfg.seed, args.out)
     counts = corpus.class_counts()
     for label in dsp.LABELS:
@@ -110,12 +112,15 @@ def _scenario_spec(args, cfg: RunConfig) -> ScenarioSpec:
     duration = args.duration
     if duration is None:
         duration = 300.0 if args.kind == "normal" else 120.0
-    return ScenarioSpec(
-        kind=args.kind, duration=duration, base_period=args.base_period,
-        jitter_sd=args.jitter_sd, onset=args.onset,
-        decrement_rate=args.decrement_rate, noise_floor=args.noise_floor,
-        seed=cfg.seed,
-    )
+    try:
+        return ScenarioSpec(
+            kind=args.kind, duration=duration, base_period=args.base_period,
+            jitter_sd=args.jitter_sd, onset=args.onset,
+            decrement_rate=args.decrement_rate, noise_floor=args.noise_floor,
+            seed=cfg.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"scenario: {exc}") from None
 
 
 def cmd_train_ae(args) -> int:
@@ -123,8 +128,7 @@ def cmd_train_ae(args) -> int:
     corpus = load_corpus(_required_path(args, cfg, "corpus", "corpus_dir"))
     for err in corpus.load_errors:
         print(f"skipped,{err}", file=sys.stderr)
-    samples = np.stack([c.clip.samples for c in corpus.clips])
-    spectra = dsp.spectra(samples.reshape(-1, dsp.FRAME_LEN))
+    spectra = dsp.spectra(corpus.samples.reshape(-1, dsp.FRAME_LEN))
     ae_params, trace = train_ae(spectra, AETrainConfig(
         epochs=cfg.ae_epochs, batch=cfg.ae_batch, seed=cfg.seed,
         learning_rate=cfg.ae_learning_rate))
@@ -181,14 +185,13 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     bundle = load_model(_required_path(args, cfg, "model", "model_path"))
     corpus = load_corpus(_required_path(args, cfg, "corpus", "corpus_dir"))
-    seed = args.seed
-    if seed is None:
+    # the split the bundle was trained on, unless a seed is given explicitly
+    seed = cfg.seed
+    if args.seed is None and SEED_ENV_VAR not in os.environ:
         seed = int(bundle.metadata.get("seed", cfg.seed))
-    plan = make_split(corpus, seed)
-    by_id = {c.clip_id: c for c in corpus.clips}
-    test_clips = [by_id[cid] for cid in plan.test_ids]
-    metrics = evaluate(bundle.rnn, bundle.ae, test_clips)
-    print(f"clips,{len(test_clips)}")
+    rows = make_split(corpus, seed).test_rows
+    metrics = evaluate(bundle.rnn, bundle.ae, corpus.samples[rows], corpus.labels[rows])
+    print(f"clips,{len(rows)}")
     print(f"accuracy,{metrics.accuracy:.6f}")
     for label in dsp.LABELS:
         print(f"f1_{label},{metrics.f1[label]:.6f}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,101 +27,102 @@ TRAIN_FRACTION = 5
 MIN_CORPUS_SIZE = 400
 
 
-@dataclass(frozen=True)
-class LabeledClip:
-    clip: dsp.AudioClip
-    label: str
-    clip_id: str
-
-
 @dataclass
 class Corpus:
-    """Immutable-after-load clip collection plus any per-file load errors."""
+    """Clips as one sample matrix, plus any per-file load errors.
 
-    clips: list[LabeledClip]
+    Row i of `samples` is one 2-second clip, `labels[i]` its class index
+    into dsp.LABELS and `ids[i]` its relative path.
+    """
+
+    samples: np.ndarray  # (n, 16384) float64
+    labels: np.ndarray   # (n,) class indices
+    ids: tuple[str, ...]
     load_errors: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.clips)
-
-    def __iter__(self):
-        return iter(self.clips)
+        return len(self.ids)
 
     def class_counts(self) -> dict[str, int]:
-        counts = {label: 0 for label in dsp.LABELS}
-        for c in self.clips:
-            counts[c.label] += 1
-        return counts
+        counts = np.bincount(self.labels, minlength=len(dsp.LABELS))
+        return dict(zip(dsp.LABELS, counts.tolist()))
 
     def fingerprint(self) -> str:
         """sha256 over clip IDs and sample data, stable across machines."""
         digest = hashlib.sha256()
-        for c in sorted(self.clips, key=lambda c: c.clip_id):
-            digest.update(c.clip_id.encode("utf-8"))
+        for row in np.argsort(self.ids):
+            digest.update(self.ids[row].encode("utf-8"))
             digest.update(b"\0")
-            digest.update(np.ascontiguousarray(c.clip.samples).tobytes())
+            digest.update(self.samples[row].tobytes())
         return digest.hexdigest()
 
 
 def load_corpus(root) -> Corpus:
     """Load and validate every WAV under root/{inhale,exhale,unknown}/.
 
-    Bad files do not abort the load; their errors are collected on the
-    returned corpus with their paths. A class with no usable clip at all
-    raises EmptyClass.
+    Clips fill the rows of one matrix, allocated once for every globbed
+    path, in class then file-name order. Bad files do not abort the load;
+    their errors are collected on the returned corpus with their paths. A
+    class with no usable clip at all raises EmptyClass.
     """
     root = Path(root)
-    clips: list[LabeledClip] = []
+    paths = [(index, path) for index, label in enumerate(dsp.LABELS)
+             for path in sorted((root / label).glob("*.wav"))]
+    samples = np.empty((len(paths), dsp.CLIP_SAMPLES))
+    rows: list[tuple[int, str]] = []
     errors: list[str] = []
-    for label in dsp.LABELS:
-        class_dir = root / label
-        loaded_any = False
-        for path in sorted(class_dir.glob("*.wav")) if class_dir.is_dir() else []:
-            clip_id = f"{label}/{path.name}"
-            try:
-                clip = dsp.load_wav(path)
-                if clip.samples.size != dsp.CLIP_SAMPLES:
-                    raise BreathSentinelError(
-                        f"{path}: expected {dsp.CLIP_SAMPLES} samples (2 s), got {clip.samples.size}"
-                    )
-            except BreathSentinelError as exc:
-                errors.append(str(exc))
-                continue
-            clips.append(LabeledClip(clip=replace(clip, label=label), label=label, clip_id=clip_id))
-            loaded_any = True
-        if not loaded_any:
-            raise EmptyClass(f"no usable clips for class '{label}' under {class_dir}")
-    return Corpus(clips=clips, load_errors=errors)
+    for index, path in paths:
+        try:
+            clip = dsp.load_wav(path)
+            if clip.samples.size != dsp.CLIP_SAMPLES:
+                raise BreathSentinelError(
+                    f"{path}: expected {dsp.CLIP_SAMPLES} samples (2 s), got {clip.samples.size}"
+                )
+        except BreathSentinelError as exc:
+            errors.append(str(exc))
+            continue
+        samples[len(rows)] = clip.samples
+        rows.append((index, f"{dsp.LABELS[index]}/{path.name}"))
+    corpus = Corpus(samples=samples[:len(rows)],
+                    labels=np.array([index for index, _ in rows], dtype=np.intp),
+                    ids=tuple(clip_id for _, clip_id in rows), load_errors=errors)
+    for label, count in corpus.class_counts().items():
+        if count == 0:
+            raise EmptyClass(f"no usable clips for class '{label}' under {root / label}")
+    return corpus
 
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Fixed test IDs plus a pure per-epoch sampler over the remaining pool.
+    """Fixed test rows plus a pure per-epoch sampler over the remaining pool.
 
-    The test set is chosen once per seed and never reappears; each epoch
-    shuffles the pool, takes the validation clips first, then draws the
-    training clips from what is left, so train and validation are disjoint
-    within an epoch by construction.
+    Rows index the corpus matrix. The test set is chosen once per seed
+    and never reappears; each epoch shuffles the pool, takes the
+    validation clips first, then draws the training clips from what is
+    left, so train and validation are disjoint within an epoch by
+    construction.
     """
 
     seed: int
-    test_ids: tuple[str, ...]
-    pool_ids: tuple[str, ...]
+    test_rows: np.ndarray
+    pool_rows: np.ndarray  # in clip ID order
     validation_size: int
     train_size: int
 
-    def epoch_draw(self, epoch: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """(validation_ids, train_ids) for one epoch; pure in (seed, epoch)."""
+    def epoch_draw(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        """(validation_rows, train_rows) for one epoch; pure in (seed, epoch)."""
         rng = np.random.default_rng([self.seed, 1 + epoch])
-        order = rng.permutation(len(self.pool_ids))
-        val = tuple(self.pool_ids[i] for i in order[:self.validation_size])
-        train = tuple(self.pool_ids[i]
-                      for i in order[self.validation_size:self.validation_size + self.train_size])
+        order = rng.permutation(len(self.pool_rows))
+        val = self.pool_rows[order[:self.validation_size]]
+        train = self.pool_rows[order[self.validation_size:self.validation_size + self.train_size]]
         return val, train
 
 
 def make_split(corpus: Corpus, seed: int) -> SplitPlan:
-    """Deterministic split plan for a corpus of at least 400 clips."""
+    """Deterministic split plan for a corpus of at least 400 clips.
+
+    Draws are made over the rows in clip ID order, not load order.
+    """
     n = len(corpus)
     if n < MIN_CORPUS_SIZE:
         raise CorpusTooSmall(f"need at least {MIN_CORPUS_SIZE} clips, got {n}")
@@ -129,23 +130,22 @@ def make_split(corpus: Corpus, seed: int) -> SplitPlan:
     validation_size = math.ceil(n / VALIDATION_FRACTION)
     train_size = n // TRAIN_FRACTION
 
-    all_ids = sorted(c.clip_id for c in corpus.clips)
+    id_rows = np.argsort(corpus.ids)
     rng = np.random.default_rng([seed, 0])
     order = rng.permutation(n)
-    test_ids = tuple(all_ids[i] for i in order[:test_size])
-    test_set = set(test_ids)
-    pool_ids = tuple(cid for cid in all_ids if cid not in test_set)
-    return SplitPlan(seed=seed, test_ids=test_ids, pool_ids=pool_ids,
+    in_test = np.zeros(n, dtype=bool)
+    in_test[order[:test_size]] = True
+    return SplitPlan(seed=seed, test_rows=id_rows[order[:test_size]], pool_rows=id_rows[~in_test],
                      validation_size=validation_size, train_size=train_size)
 
 
-def augment_noise(clip: dsp.AudioClip, seed, amplitude: float | None = None) -> dsp.AudioClip:
+def augment_noise(samples: np.ndarray, seed, amplitude: float | None = None) -> np.ndarray:
     """Add i.i.d. uniform noise in +/-a to every sample, clamped to [-1, 1].
 
     a is drawn uniformly from [0.005, 0.05] of full scale unless given
-    explicitly; the label rides along unchanged.
+    explicitly.
     """
     rng = np.random.default_rng(seed)
     a = float(rng.uniform(0.005, 0.05)) if amplitude is None else float(amplitude)
-    noisy = clip.samples + rng.uniform(-a, a, size=clip.samples.shape)
-    return replace(clip, samples=np.clip(noisy, -1.0, 1.0))
+    noisy = samples + rng.uniform(-a, a, size=samples.shape)
+    return np.clip(noisy, -1.0, 1.0)

@@ -41,27 +41,21 @@ _NORM_DIVISOR = math.log1p(float(FRAME_LEN))
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono sample sequence in [-1, 1] at 8192 Hz with an optional class label."""
+    """Mono sample sequence in [-1, 1] at 8192 Hz."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
-    label: str | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}")
         if samples.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
         if samples.size and float(np.max(np.abs(samples))) > 1.0:
             raise ValueError("samples must lie in [-1.0, 1.0]")
-        if self.label is not None and self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
 
     @property
     def duration(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
 def _wav_data(f, path) -> int:

@@ -22,8 +22,7 @@ from .autoencoder import AEParams, _glorot, _sigmoid, encode_batch
 from .errors import DivergedLoss, EmptyEvalSet, NonFiniteActivation
 from .optim import AdagradState, adagrad_step, clip_gradients
 
-CLASSES = ("inhale", "exhale", "unknown")
-N_CLASSES = len(CLASSES)
+N_CLASSES = len(dsp.LABELS)
 INPUT_DIM = 50
 HIDDEN_DEFAULT = 75
 WINDOW_FRAMES = 16
@@ -82,17 +81,18 @@ def init_rnn(seed, hidden: int = HIDDEN_DEFAULT) -> RNNParams:
 
 
 def _forward_codes(params: RNNParams, codes: np.ndarray):
-    """Run the recurrence over (t, 50) codes.
+    """Run the recurrence over (..., t, 50) codes, one window per leading index.
 
-    Returns (h, scores): h has shape (t+1, hidden) with h[0] the zero
-    initial state, scores shape (3,) from the final hidden state only.
+    Returns (h, scores): h has shape (t+1, ..., hidden), time first, with
+    h[0] the zero initial state; scores shape (..., 3) from the final
+    hidden state only.
     """
-    t_len = codes.shape[0]
-    h = np.zeros((t_len + 1, params.hidden))
     x_proj = codes @ params.w_xh + params.b_h
-    for t in range(t_len):
+    x_proj = x_proj.transpose(x_proj.ndim - 2, *range(x_proj.ndim - 2), -1)  # time first
+    h = np.zeros((x_proj.shape[0] + 1,) + x_proj.shape[1:])
+    for t in range(x_proj.shape[0]):
         h[t + 1] = np.tanh(x_proj[t] + h[t] @ params.w_hh)
-    scores = _sigmoid(h[t_len] @ params.w_hy + params.b_y)
+    scores = _sigmoid(h[-1] @ params.w_hy + params.b_y)
     return h, scores
 
 
@@ -130,7 +130,7 @@ def rnn_forward(params: RNNParams, states: np.ndarray, code: np.ndarray) -> np.n
 def classify(scores: np.ndarray) -> tuple[str, float]:
     """Argmax label and its confidence; ties resolve to the earliest class."""
     idx = int(np.argmax(scores))
-    return CLASSES[idx], float(scores[idx])
+    return dsp.LABELS[idx], float(scores[idx])
 
 
 def bce_loss(scores: np.ndarray, target: np.ndarray) -> float:
@@ -165,9 +165,10 @@ def _backward_codes(params: RNNParams, codes: np.ndarray,
     return grads, loss
 
 
-def one_hot(label: str) -> np.ndarray:
+def one_hot(label: int) -> np.ndarray:
+    """Target vector for the class index `label` into dsp.LABELS."""
     target = np.zeros(N_CLASSES)
-    target[CLASSES.index(label)] = 1.0
+    target[label] = 1.0
     return target
 
 
@@ -202,34 +203,28 @@ def _encode_samples(ae: AEParams, samples_matrix: np.ndarray) -> np.ndarray:
     return encode_batch(ae, dsp.spectra(frames)).reshape(n, WINDOW_FRAMES, INPUT_DIM)
 
 
-def _metrics_from_predictions(labels: list[str], predicted: list[str]) -> EvalMetrics:
-    confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for truth, pred in zip(labels, predicted):
-        confusion[CLASSES.index(truth), CLASSES.index(pred)] += 1
+def _metrics_from_predictions(labels: np.ndarray, predicted: np.ndarray) -> EvalMetrics:
+    """Metrics from true and predicted class indices into dsp.LABELS."""
+    cells = N_CLASSES * labels + predicted
+    confusion = np.bincount(cells, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
     accuracy = float(np.trace(confusion)) / max(1, len(labels))
-    f1 = {}
-    for i, name in enumerate(CLASSES):
-        tp = float(confusion[i, i])
-        fp = float(confusion[:, i].sum() - confusion[i, i])
-        fn = float(confusion[i, :].sum() - confusion[i, i])
-        denom = 2 * tp + fp + fn
-        f1[name] = (2 * tp / denom) if denom > 0 else 0.0
-    macro = float(np.mean([f1[name] for name in CLASSES]))
-    return EvalMetrics(accuracy=accuracy, f1=f1, macro_f1=macro, confusion=confusion)
+    tp = np.diag(confusion).astype(np.float64)
+    denom = 2 * tp + (confusion.sum(axis=0) - tp) + (confusion.sum(axis=1) - tp)
+    f1 = np.divide(2 * tp, denom, out=np.zeros(N_CLASSES), where=denom > 0)
+    return EvalMetrics(accuracy=accuracy, f1=dict(zip(dsp.LABELS, f1.tolist())),
+                       macro_f1=float(np.mean(f1)), confusion=confusion)
 
 
-def evaluate(params: RNNParams, ae: AEParams, clips) -> EvalMetrics:
-    """Accuracy, per-class and macro F1, and the 3x3 confusion matrix."""
-    clips = list(clips)
-    if not clips:
+def evaluate(params: RNNParams, ae: AEParams, samples: np.ndarray,
+             labels: np.ndarray) -> EvalMetrics:
+    """Accuracy, per-class and macro F1, and the 3x3 confusion matrix.
+
+    `samples` is (n, 16384), one clip per row; `labels` their class indices.
+    """
+    if len(samples) == 0:
         raise EmptyEvalSet("no clips to evaluate")
-    samples = np.stack([c.clip.samples for c in clips])
-    code_seqs = _encode_samples(ae, samples)
-    predicted = []
-    for seq in code_seqs:
-        _, scores = _forward_codes(params, seq)
-        predicted.append(CLASSES[int(np.argmax(scores))])
-    return _metrics_from_predictions([c.label for c in clips], predicted)
+    _, scores = _forward_codes(params, _encode_samples(ae, samples))
+    return _metrics_from_predictions(labels, scores.argmax(axis=-1))
 
 
 def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
@@ -244,40 +239,37 @@ def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
     touched here. Deterministic per seed.
     """
     plan = corpus_mod.make_split(corpus, config.seed)
-    by_id = {c.clip_id: c for c in corpus.clips}
 
     params = init_rnn(config.seed, config.hidden)
     tensors = params.to_dict()
     state = AdagradState.for_params(tensors, config.learning_rate)
     aug_rng = np.random.default_rng([config.seed, 0x5EED])
 
-    # Unaugmented latent codes for the pool, computed once: validation
-    # clips are never augmented, so their codes are fixed for a frozen
-    # encoder.
-    pool_clips = [by_id[cid] for cid in plan.pool_ids]
-    pool_codes = {}
-    if pool_clips:
-        stacked = _encode_samples(ae, np.stack([c.clip.samples for c in pool_clips]))
-        pool_codes = {c.clip_id: stacked[i] for i, c in enumerate(pool_clips)}
+    # Unaugmented latent codes for the pool, computed once and indexed by
+    # corpus row: validation clips are never augmented, so their codes are
+    # fixed for a frozen encoder.
+    pool_codes = _encode_samples(ae, corpus.samples[plan.pool_rows])
+    codes = np.empty((len(corpus),) + pool_codes.shape[1:])
+    codes[plan.pool_rows] = pool_codes
+    del pool_codes
 
     trace: list[EpochMetrics] = []
     for epoch in range(config.epochs):
-        val_ids, train_ids = plan.epoch_draw(epoch)
-        train_clips = [by_id[cid] for cid in train_ids]
+        val_rows, train_rows = plan.epoch_draw(epoch)
 
         if config.noise_aug:
-            seeds = aug_rng.integers(0, 2**63, size=len(train_clips))
+            seeds = aug_rng.integers(0, 2**63, size=len(train_rows))
             samples = np.stack([
-                corpus_mod.augment_noise(c.clip, int(s)).samples
-                for c, s in zip(train_clips, seeds)
+                corpus_mod.augment_noise(corpus.samples[row], int(s))
+                for row, s in zip(train_rows, seeds)
             ])
             code_seqs = _encode_samples(ae, samples)
         else:
-            code_seqs = np.stack([pool_codes[cid] for cid in train_ids])
+            code_seqs = codes[train_rows]
 
         losses = []
-        for seq, clip in zip(code_seqs, train_clips):
-            grads, loss = _backward_codes(params, seq, one_hot(clip.label))
+        for seq, label in zip(code_seqs, corpus.labels[train_rows]):
+            grads, loss = _backward_codes(params, seq, one_hot(label))
             losses.append(loss)
             clip_gradients(grads, GRAD_CLIP_NORM)
             adagrad_step(tensors, grads, state)
@@ -285,11 +277,8 @@ def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
         if not math.isfinite(epoch_loss):
             raise DivergedLoss(f"epoch {epoch}: training loss became {epoch_loss}")
 
-        correct = 0
-        for cid in val_ids:
-            _, scores = _forward_codes(params, pool_codes[cid])
-            if CLASSES[int(np.argmax(scores))] == by_id[cid].label:
-                correct += 1
-        val_acc = correct / len(val_ids) if val_ids else 0.0
+        _, scores = _forward_codes(params, codes[val_rows])
+        correct = int(np.count_nonzero(scores.argmax(axis=-1) == corpus.labels[val_rows]))
+        val_acc = correct / len(val_rows)
         trace.append(EpochMetrics(epoch=epoch, train_loss=epoch_loss, val_accuracy=val_acc))
     return params, trace

@@ -85,8 +85,7 @@ class Debouncer:
 
     def __init__(self, confidence: float = CONFIDENCE_DEFAULT,
                  run_length: int = RUN_LENGTH_DEFAULT,
-                 refractory: float = REFRACTORY_DEFAULT,
-                 window_seconds: float = WINDOW_SECONDS):
+                 refractory: float = REFRACTORY_DEFAULT):
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {confidence}")
         if run_length < 1:
@@ -94,7 +93,6 @@ class Debouncer:
         self.confidence = confidence
         self.run_length = run_length
         self.refractory = refractory
-        self.window_seconds = window_seconds
         self._last_time: float | None = None
         self._run_label: str | None = None
         self._run_len = 0
@@ -126,7 +124,7 @@ class Debouncer:
 
         if self._run_len >= self.run_length and not self._run_emitted:
             self._run_emitted = True
-            event_time = self._run_first_end - self.window_seconds
+            event_time = self._run_first_end - WINDOW_SECONDS
             last = self._last_event.get(pred.label)
             if last is None or event_time - last >= self.refractory:
                 self._last_event[pred.label] = event_time

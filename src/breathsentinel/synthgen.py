@@ -21,6 +21,7 @@ from .corpus import Corpus, load_corpus
 from .errors import IoError
 
 SCENARIO_KINDS = ("normal", "arrest", "decrement")
+MIN_PER_CLASS = 10  # fewest clips per class gen_corpus writes
 
 # Burst shape ranges (seconds / Hz). Exhales decay slower and sit lower.
 # Widths stay under ~1.2 s so several consecutive 2 s windows can contain
@@ -192,7 +193,7 @@ def _unknown_signal(rng: np.random.Generator, n: int, variant: int | None = None
 
 
 def gen_clip(kind: str, seed) -> dsp.AudioClip:
-    """One labeled 2-second clip at 8192 Hz, peak amplitude capped at 0.8.
+    """One 2-second clip of class `kind` at 8192 Hz, peak amplitude capped at 0.8.
 
     The labeled burst sits near the clip center with a little jitter;
     most breath clips are cut out of a synthesized breathing sequence so
@@ -216,13 +217,13 @@ def gen_clip(kind: str, seed) -> dsp.AudioClip:
     top = float(np.max(np.abs(x)))
     if top > 0.8:
         x = x * (0.8 / top)
-    return dsp.AudioClip(samples=x, label=kind)
+    return dsp.AudioClip(samples=x)
 
 
 def gen_corpus(n_per_class: int, seed: int, out_dir) -> Corpus:
     """Write a labeled corpus (standard directory layout) and load it back."""
-    if n_per_class < 10:
-        raise ValueError(f"n_per_class must be >= 10, got {n_per_class}")
+    if n_per_class < MIN_PER_CLASS:
+        raise ValueError(f"n_per_class must be >= {MIN_PER_CLASS}, got {n_per_class}")
     root = Path(out_dir)
     try:
         for ci, label in enumerate(dsp.LABELS):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dsp import FRAME_SECONDS
 from .errors import DomainError, NonMonotonicTime
-from .stream import BreathEvent, Debouncer, PredictionFrame
+from .stream import WINDOW_SECONDS, BreathEvent, Debouncer, PredictionFrame
 
 INTERVAL_WINDOW_DEFAULT = 20
 CI_LEVEL_DEFAULT = 0.80
@@ -198,9 +198,7 @@ def ols_slope_t(y: np.ndarray) -> tuple[float, float]:
 
 
 def arrest_check(series: IntervalSeries, now: float,
-                 ci_level: float = CI_LEVEL_DEFAULT,
-                 min_intervals: int = ARREST_MIN_INTERVALS,
-                 floor: float = ARREST_FLOOR_SECONDS) -> Alert | None:
+                 ci_level: float = CI_LEVEL_DEFAULT) -> Alert | None:
     """Alarm when the time since the last breath exceeds the tolerance bound.
 
     The bound is mean + t_{(1+ci)/2, n-1} * sd over the buffered
@@ -211,11 +209,11 @@ def arrest_check(series: IntervalSeries, now: float,
     the same series alerts too.
     """
     n = len(series)
-    if n < min_intervals or series.last_breath_time is None:
+    if n < ARREST_MIN_INTERVALS or series.last_breath_time is None:
         return None
     quantile = t_quantile(0.5 + ci_level / 2.0, n - 1)
     mean = series.mean
-    bound = max(mean + quantile * series.sd, mean + floor)
+    bound = max(mean + quantile * series.sd, mean + ARREST_FLOOR_SECONDS)
     elapsed = now - series.last_breath_time
     if elapsed > bound:
         return Alert(kind="arrest", time=now, statistic=elapsed, threshold=bound)
@@ -223,8 +221,7 @@ def arrest_check(series: IntervalSeries, now: float,
 
 
 def slope_check(series: IntervalSeries,
-                alpha: float = TREND_ALPHA_DEFAULT,
-                min_intervals: int = TREND_MIN_INTERVALS) -> Alert | None:
+                alpha: float = TREND_ALPHA_DEFAULT) -> Alert | None:
     """One-sided t-test for a positive trend in the buffered intervals.
 
     Lengthening intervals are the dangerous direction, so only a positive
@@ -232,7 +229,7 @@ def slope_check(series: IntervalSeries,
     convention. Needs at least 8 intervals.
     """
     xs = series.intervals()
-    if xs.size < min_intervals:
+    if xs.size < TREND_MIN_INTERVALS:
         return None
     b1, t = ols_slope_t(xs)
     threshold = t_quantile(1.0 - alpha, int(xs.size) - 2)
@@ -266,7 +263,7 @@ def run_detection(predictions: Iterable[PredictionFrame], *,
     """
     debouncer = Debouncer(confidence=confidence, run_length=run_length, refractory=refractory)
     series = IntervalSeries(capacity=interval_window)
-    confirmation_lag = debouncer.window_seconds + (run_length - 1) * FRAME_SECONDS
+    confirmation_lag = WINDOW_SECONDS + (run_length - 1) * FRAME_SECONDS
     armed = {"arrest": True, "trend": True}
     for pred in predictions:
         event = debouncer.push(pred)

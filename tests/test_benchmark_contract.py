@@ -68,7 +68,7 @@ def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir, des
     monitor_frames, corpus_frames = 24, 3 * 140 * 16
     # train-rnn encodes the pool once, then the epoch's noise-augmented clips
     plan = make_split(desk_corpus, 1)
-    reencode_frames = 16 * (len(plan.pool_ids) + len(plan.epoch_draw(0)[1]))
+    reencode_frames = 16 * (len(plan.pool_rows) + len(plan.epoch_draw(0)[1]))
     assert metrics["dsp.frames"] == monitor_frames + corpus_frames + reencode_frames
     assert metrics["rnn.reencode_share"] > 0
     assert metrics["rnn.windows"] == monitor_frames - 15

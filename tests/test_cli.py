@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from breathsentinel import cli, dsp, rnn
-from breathsentinel.model_io import ModelBundle, load_model, save_model
 from breathsentinel.autoencoder import encode_batch, init_ae
+from breathsentinel.corpus import make_split
+from breathsentinel.model_io import ModelBundle, load_model, save_model
 from breathsentinel.rnn import init_rnn
 from breathsentinel.synthgen import ScenarioSpec, gen_scenario
 
@@ -62,6 +63,33 @@ def test_bad_config_value_exits_one(tmp_path, tiny_corpus_dir, capsys):
     code = cli.main(["train-ae", "--corpus", str(tiny_corpus_dir),
                      "--out", str(tmp_path / "m.bsm"), "--config", str(cfg)])
     assert code == 1
+
+
+OUT_OF_RANGE = {
+    "onset-after-duration": ["synth", "scenario", "--kind", "normal", "--duration", "10",
+                             "--onset", "60"],
+    "simulate-onset-after-duration": ["simulate", "--scenario", "normal", "--duration", "10",
+                                      "--onset", "60"],
+    "per-class": ["synth", "corpus", "--per-class", "5"],
+    "base-period": ["synth", "scenario", "--kind", "normal", "--base-period", "0.5"],
+    "decrement-rate": ["synth", "scenario", "--kind", "decrement", "--decrement-rate", "0.5"],
+    "jitter-sd": ["synth", "scenario", "--kind", "normal", "--jitter-sd", "-1"],
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE)
+def test_out_of_range_flag_exits_one_with_one_error_line(name, tmp_path, untrained_model, capsys):
+    argv = list(OUT_OF_RANGE[name])
+    if argv[0] == "simulate":
+        argv += ["--model", str(untrained_model)]
+    elif argv[1] == "corpus":
+        argv += ["--out", str(tmp_path / "corpus")]
+    else:
+        argv += ["--out", str(tmp_path / "s.wav"), "--truth", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- synth ---
@@ -132,6 +160,46 @@ def test_eval_prints_metrics(desk_corpus_dir, tmp_path, capsys):
     assert out.startswith("clips,14")
     assert "macro_f1," in out
     assert "confusion_inhale," in out
+
+
+@pytest.mark.parametrize("env, flag, expected", [
+    (None, None, 7),  # the seed the bundle was trained with
+    ("3", None, 3),
+    (None, "3", 3),
+    ("4", "3", 4),  # the variable overrides the flag, as everywhere else
+])
+def test_eval_splits_with_the_resolved_seed(env, flag, expected, desk_corpus_dir, tmp_path,
+                                            capsys, monkeypatch):
+    model = tmp_path / "seed7.bsm"
+    save_model(ModelBundle(ae=init_ae(0), rnn=init_rnn(0), metadata={"seed": "7"}), model)
+    seeds = []
+
+    def recording_split(corpus, seed):
+        seeds.append(seed)
+        return make_split(corpus, seed)
+
+    monkeypatch.setattr(cli, "make_split", recording_split)
+    if env is None:
+        monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("BREATHSENTINEL_SEED", env)
+    argv = ["eval", "--model", str(model), "--corpus", str(desk_corpus_dir)]
+    assert cli.main(argv + (["--seed", flag] if flag else [])) == 0
+    assert seeds == [expected]
+
+
+def test_train_ae_holds_one_sample_matrix(desk_corpus_dir, tmp_path, capsys):
+    clips = 3 * 140
+    sample_matrix = clips * dsp.CLIP_SAMPLES * 8
+    spectra = clips * 16 * dsp.SPECTRUM_BINS * 8
+    tracemalloc.start()
+    try:
+        assert cli.main(["train-ae", "--corpus", str(desk_corpus_dir),
+                         "--out", str(tmp_path / "ae.bsm"), "--epochs", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sample_matrix + spectra + 24 * 2**20, peak
 
 
 def test_monitor_runs_on_wav(untrained_model, tmp_path, capsys):

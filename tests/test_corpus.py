@@ -1,21 +1,40 @@
+import math
+
 import numpy as np
 import pytest
 
 from breathsentinel import dsp, gen_corpus
-from breathsentinel.corpus import Corpus, LabeledClip, augment_noise, load_corpus, make_split
+from breathsentinel.corpus import Corpus, augment_noise, load_corpus, make_split
 from breathsentinel.errors import CorpusTooSmall, EmptyClass
 
 
-def in_memory_corpus(n_total):
-    """Corpus of n_total silent clips sharing one buffer (cheap at any scale)."""
-    zeros = np.zeros(dsp.CLIP_SAMPLES)
-    clips = []
-    labels = dsp.LABELS
-    for i in range(n_total):
-        label = labels[i % 3]
-        clip = dsp.AudioClip(samples=zeros, label=label)
-        clips.append(LabeledClip(clip=clip, label=label, clip_id=f"{label}/c{i:05d}.wav"))
-    return Corpus(clips=clips)
+def in_memory_corpus(n_total, ids=None):
+    """Corpus of n_total silent clips sharing one buffer (cheap at any scale).
+
+    Rows cycle through the classes, so the default IDs are not in load
+    order: "exhale/..." sorts before "inhale/...".
+    """
+    labels = np.arange(n_total) % 3
+    if ids is None:
+        ids = tuple(f"{dsp.LABELS[k]}/c{i:05d}.wav" for i, k in enumerate(labels))
+    samples = np.broadcast_to(np.zeros(dsp.CLIP_SAMPLES), (n_total, dsp.CLIP_SAMPLES))
+    return Corpus(samples=samples, labels=labels, ids=ids)
+
+
+def id_split(ids, seed, epochs):
+    """Test-local copy of the split made over clip IDs: the draws the rows must select."""
+    n = len(ids)
+    all_ids = sorted(ids)
+    order = np.random.default_rng([seed, 0]).permutation(n)
+    test_ids = [all_ids[i] for i in order[:math.ceil(n / 30)]]
+    pool_ids = [cid for cid in all_ids if cid not in set(test_ids)]
+    draws = []
+    for epoch in epochs:
+        order = np.random.default_rng([seed, 1 + epoch]).permutation(len(pool_ids))
+        picked = [pool_ids[i] for i in order]
+        val_size = math.ceil(n / 30)
+        draws.append((picked[:val_size], picked[val_size:val_size + n // 5]))
+    return test_ids, pool_ids, draws
 
 
 # --- loading ---
@@ -36,6 +55,20 @@ def test_corrupt_file_is_reported_not_fatal(tmp_path):
     assert len(corpus) == 29
     assert len(corpus.load_errors) == 1
     assert "inhale_0003" in corpus.load_errors[0]
+    assert corpus.samples.shape == (29, dsp.CLIP_SAMPLES)
+    assert corpus.ids[3] == "inhale/inhale_0004.wav"
+    assert np.array_equal(corpus.samples[3],
+                          dsp.load_wav(tmp_path / "inhale" / "inhale_0004.wav").samples)
+
+
+def test_rows_follow_class_then_file_order(tmp_path):
+    gen_corpus(10, seed=9, out_dir=tmp_path)
+    corpus = load_corpus(tmp_path)
+    assert corpus.ids == tuple(f"{label}/{label}_{i:04d}.wav"
+                               for label in dsp.LABELS for i in range(10))
+    assert corpus.labels.tolist() == [0] * 10 + [1] * 10 + [2] * 10
+    for row in (0, 13, 29):
+        assert np.array_equal(corpus.samples[row], dsp.load_wav(tmp_path / corpus.ids[row]).samples)
 
 
 def test_wrong_length_clip_is_reported(tmp_path):
@@ -57,8 +90,8 @@ def test_empty_class_directory_raises(tmp_path):
 def test_clip_ids_are_relative_paths(tmp_path):
     gen_corpus(10, seed=7, out_dir=tmp_path)
     corpus = load_corpus(tmp_path)
-    assert all("/" in c.clip_id for c in corpus.clips)
-    assert corpus.clips[0].clip_id.split("/")[0] in dsp.LABELS
+    assert all("/" in clip_id for clip_id in corpus.ids)
+    assert corpus.ids[0].split("/")[0] in dsp.LABELS
 
 
 def test_fingerprint_stable_and_content_sensitive(tmp_path):
@@ -76,19 +109,19 @@ def test_fingerprint_stable_and_content_sensitive(tmp_path):
 def test_reference_scale_split_arithmetic():
     corpus = in_memory_corpus(1500)
     plan = make_split(corpus, seed=0)
-    assert len(plan.test_ids) == 50
-    assert len(plan.pool_ids) == 1450
+    assert len(plan.test_rows) == 50
+    assert len(plan.pool_rows) == 1450
     val, train = plan.epoch_draw(0)
     assert len(val) == 50
     assert len(train) == 300
     # the training draw comes from the 1400 left after both removals
     assert set(val).isdisjoint(train)
-    assert len(plan.pool_ids) - len(val) == 1400
+    assert len(plan.pool_rows) - len(val) == 1400
 
 
 def test_scaled_split_sizes():
     plan = make_split(in_memory_corpus(450), seed=1)
-    assert len(plan.test_ids) == 15
+    assert len(plan.test_rows) == 15
     val, train = plan.epoch_draw(3)
     assert len(val) == 15
     assert len(train) == 90
@@ -97,14 +130,15 @@ def test_scaled_split_sizes():
 def test_split_is_deterministic():
     corpus = in_memory_corpus(600)
     a, b = make_split(corpus, seed=9), make_split(corpus, seed=9)
-    assert a.test_ids == b.test_ids
-    assert a.epoch_draw(17) == b.epoch_draw(17)
-    assert make_split(corpus, seed=10).test_ids != a.test_ids
+    assert np.array_equal(a.test_rows, b.test_rows)
+    for rows_a, rows_b in zip(a.epoch_draw(17), b.epoch_draw(17)):
+        assert np.array_equal(rows_a, rows_b)
+    assert not np.array_equal(make_split(corpus, seed=10).test_rows, a.test_rows)
 
 
 def test_epoch_draws_never_touch_test_ids():
     plan = make_split(in_memory_corpus(450), seed=2)
-    forbidden = set(plan.test_ids)
+    forbidden = set(plan.test_rows)
     for epoch in range(100):
         val, train = plan.epoch_draw(epoch)
         assert forbidden.isdisjoint(val)
@@ -116,11 +150,30 @@ def test_isolation_holds_across_many_seeds():
     corpus = in_memory_corpus(420)
     for seed in range(50):
         plan = make_split(corpus, seed=seed)
-        forbidden = set(plan.test_ids)
+        forbidden = set(plan.test_rows)
         val, train = plan.epoch_draw(0)
         assert forbidden.isdisjoint(val) and forbidden.isdisjoint(train)
         again = make_split(corpus, seed=seed)
-        assert again.test_ids == plan.test_ids
+        assert np.array_equal(again.test_rows, plan.test_rows)
+
+
+@pytest.mark.parametrize("load_order", ["cycled", "shuffled"])
+def test_split_rows_select_the_clips_the_id_split_selects(load_order):
+    corpus = in_memory_corpus(420)
+    if load_order == "shuffled":
+        shuffled = np.random.default_rng(0).permutation(corpus.ids)
+        corpus = in_memory_corpus(420, ids=tuple(shuffled.tolist()))
+    assert list(corpus.ids) != sorted(corpus.ids)
+    ids = np.array(corpus.ids)
+    for seed in range(50):
+        plan = make_split(corpus, seed=seed)
+        test_ids, pool_ids, draws = id_split(corpus.ids, seed, epochs=(0, 7))
+        assert ids[plan.test_rows].tolist() == test_ids
+        assert ids[plan.pool_rows].tolist() == pool_ids
+        for epoch, (val_ids, train_ids) in zip((0, 7), draws):
+            val, train = plan.epoch_draw(epoch)
+            assert ids[val].tolist() == val_ids
+            assert ids[train].tolist() == train_ids
 
 
 def test_corpus_too_small_rejected():
@@ -132,20 +185,19 @@ def test_corpus_too_small_rejected():
 
 def tone_clip(amplitude=0.5):
     t = np.arange(dsp.CLIP_SAMPLES) / dsp.SAMPLE_RATE
-    return dsp.AudioClip(samples=amplitude * np.sin(2 * np.pi * 440.0 * t), label="inhale")
+    return amplitude * np.sin(2 * np.pi * 440.0 * t)
 
 
 def test_zero_amplitude_is_identity():
     clip = tone_clip()
     out = augment_noise(clip, seed=0, amplitude=0.0)
-    assert np.array_equal(out.samples, clip.samples)
-    assert out.label == "inhale"
+    assert np.array_equal(out, clip)
 
 
 def test_augmented_samples_stay_clamped():
-    clip = dsp.AudioClip(samples=np.ones(dsp.CLIP_SAMPLES) * 0.999)
+    clip = np.ones(dsp.CLIP_SAMPLES) * 0.999
     out = augment_noise(clip, seed=1, amplitude=0.05)
-    assert float(np.max(np.abs(out.samples))) <= 1.0
+    assert float(np.max(np.abs(out))) <= 1.0
 
 
 def test_augment_is_deterministic_per_seed():
@@ -153,14 +205,14 @@ def test_augment_is_deterministic_per_seed():
     a = augment_noise(clip, seed=5)
     b = augment_noise(clip, seed=5)
     c = augment_noise(clip, seed=6)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_amplitude_draw_range():
-    clip = dsp.AudioClip(samples=np.zeros(dsp.CLIP_SAMPLES))
+    clip = np.zeros(dsp.CLIP_SAMPLES)
     for seed in range(10):
-        noise = augment_noise(clip, seed=seed).samples
+        noise = augment_noise(clip, seed=seed)
         assert 0.0 < float(np.max(np.abs(noise))) <= 0.05
 
 
@@ -168,7 +220,7 @@ def test_snr_matches_prediction_within_1db():
     amplitude, a = 0.5, 0.03
     clip = tone_clip(amplitude)
     out = augment_noise(clip, seed=3, amplitude=a)
-    noise = out.samples - clip.samples
+    noise = out - clip
     rms_tone = amplitude / np.sqrt(2)
     snr_measured = 20 * np.log10(rms_tone / np.sqrt(np.mean(noise ** 2)))
     snr_predicted = 20 * np.log10(rms_tone / (a / np.sqrt(3)))  # uniform noise rms

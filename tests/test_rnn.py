@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breathsentinel import rnn
+from breathsentinel import dsp, rnn
 from breathsentinel.autoencoder import init_ae
 from breathsentinel.errors import EmptyEvalSet
 from breathsentinel.optim import grad_check
@@ -90,6 +90,36 @@ def test_windows_in_flight_match_the_per_window_recurrence(hidden):
         assert np.max(np.abs(scores - expected)) < 1e-12, end
 
 
+@pytest.mark.parametrize("hidden", [75, 7])
+def test_batched_windows_match_row_by_row_calls(hidden):
+    params = rnn.init_rnn(12, hidden)
+    windows = np.random.default_rng(hidden).uniform(-1.0, 1.0, (200, 16, 50))
+    h, scores = rnn._forward_codes(params, windows)
+    assert h.shape == (17, 200, hidden) and scores.shape == (200, 3)
+    for i, window in enumerate(windows):
+        h_i, scores_i = rnn._forward_codes(params, window)
+        assert np.max(np.abs(h[:, i] - h_i)) < 1e-12, i
+        assert np.max(np.abs(scores[i] - scores_i)) < 1e-12, i
+        assert np.argmax(scores[i]) == np.argmax(scores_i), i
+
+
+def test_evaluate_matches_a_per_clip_loop():
+    params, ae = rnn.init_rnn(13), init_ae(13)
+    rng = np.random.default_rng(14)
+    samples = rng.uniform(-0.5, 0.5, (30, dsp.CLIP_SAMPLES))
+    labels = rng.integers(0, 3, size=30)
+    predicted = []
+    for clip in samples:
+        codes = rnn._encode_samples(ae, clip[np.newaxis])[0]
+        predicted.append(int(np.argmax(rnn._forward_codes(params, codes)[1])))
+    confusion = np.zeros((3, 3), dtype=np.int64)
+    for truth, pred in zip(labels, predicted):
+        confusion[truth, pred] += 1
+    m = rnn.evaluate(params, ae, samples, labels)
+    assert np.array_equal(m.confusion, confusion)
+    assert m.accuracy == np.trace(confusion) / 30
+
+
 def test_hidden_state_stays_bounded():
     params = rnn.init_rnn(6)
     tensors = params.to_dict()
@@ -136,7 +166,7 @@ def test_output_gradient_zero_when_scores_equal_target():
 def test_bptt_matches_finite_differences():
     params = rnn.init_rnn(9)
     window = random_window(10)
-    target = rnn.one_hot("exhale")
+    target = rnn.one_hot(1)
     grads, _ = rnn._backward_codes(params, window, target)
 
     def loss(tensors):
@@ -152,14 +182,14 @@ def test_bptt_matches_finite_differences():
 def test_recurrent_gradient_nonzero_for_time_varying_input():
     params = rnn.init_rnn(11)
     codes = np.random.default_rng(12).uniform(-0.9, 0.9, (16, 50))
-    grads, _ = rnn._backward_codes(params, codes, rnn.one_hot("inhale"))
+    grads, _ = rnn._backward_codes(params, codes, rnn.one_hot(0))
     assert np.max(np.abs(grads["w_hh"])) > 0
 
 
 # --- metrics ---
 
 def test_perfect_predictions_score_one():
-    labels = ["inhale", "exhale", "unknown"] * 4
+    labels = np.array([0, 1, 2] * 4)
     m = rnn._metrics_from_predictions(labels, labels)
     assert m.accuracy == 1.0
     assert m.macro_f1 == 1.0
@@ -168,15 +198,24 @@ def test_perfect_predictions_score_one():
 
 
 def test_always_unknown_on_balanced_set_scores_one_third():
-    labels = ["inhale", "exhale", "unknown"] * 5
-    m = rnn._metrics_from_predictions(labels, ["unknown"] * 15)
+    labels = np.array([0, 1, 2] * 5)
+    m = rnn._metrics_from_predictions(labels, np.full(15, 2))
     assert m.accuracy == pytest.approx(1 / 3)
     assert m.f1["inhale"] == 0.0
 
 
+def test_class_absent_from_truth_and_predictions_scores_zero_f1():
+    labels = np.array([0, 1, 0, 1])
+    m = rnn._metrics_from_predictions(labels, np.array([0, 1, 1, 1]))
+    assert m.f1 == {"inhale": pytest.approx(2 / 3), "exhale": pytest.approx(0.8), "unknown": 0.0}
+    assert m.macro_f1 == pytest.approx((2 / 3 + 0.8) / 3)
+    assert m.confusion.tolist() == [[1, 1, 0], [0, 2, 0], [0, 0, 0]]
+
+
 def test_evaluate_refuses_empty_set():
     with pytest.raises(EmptyEvalSet):
-        rnn.evaluate(rnn.init_rnn(0), init_ae(0), [])
+        rnn.evaluate(rnn.init_rnn(0), init_ae(0), np.zeros((0, dsp.CLIP_SAMPLES)),
+                     np.zeros(0, dtype=np.intp))
 
 
 # --- training plumbing ---
@@ -195,7 +234,7 @@ def test_validation_draw_changes_between_epochs(desk_corpus):
     plan = make_split(desk_corpus, 5)
     v0, t0 = plan.epoch_draw(0)
     v1, t1 = plan.epoch_draw(1)
-    assert v0 != v1
+    assert not np.array_equal(v0, v1)
     assert set(v0).isdisjoint(t0) and set(v1).isdisjoint(t1)
 
 

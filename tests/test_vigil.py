@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from breathsentinel.errors import DomainError, NonMonotonicTime
-from breathsentinel.stream import BreathEvent, Debouncer, PredictionFrame
+from breathsentinel.stream import WINDOW_SECONDS, BreathEvent, Debouncer, PredictionFrame
 from breathsentinel.vigil import (
     Alert,
     IntervalSeries,
@@ -264,7 +264,7 @@ def _reference_detection(predictions, interval_window, ci_level, trend_alpha):
     quantile = t_quantile.__wrapped__
     debouncer = Debouncer()
     series = IntervalSeries(capacity=interval_window)
-    lag = debouncer.window_seconds + 2 * 0.125
+    lag = WINDOW_SECONDS + 2 * 0.125
     armed = {"arrest": True, "trend": True}
     out = []
     for pred in predictions:
