@@ -12,7 +12,7 @@ from .corpus import Corpus, SplitPlan, augment_noise, load_corpus, make_split
 from .dsp import AudioClip, dfft_magnitude, frame_signal, load_wav, normalize_spectrum, spectra
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import RNNParams, advance, classify, evaluate, rnn_forward, train_rnn
-from .stream import BreathEvent, PredictionFrame, debounce, infer_stream
+from .stream import BreathEvent, PredictionFrame, infer_stream
 from .synthgen import GroundTruth, ScenarioSpec, gen_clip, gen_corpus, gen_scenario
 from .vigil import Alert, IntervalSeries, arrest_check, slope_check, t_quantile
 
@@ -22,7 +22,7 @@ __all__ = [
     "AEParams", "Alert", "AudioClip", "BreathEvent", "Corpus", "GroundTruth",
     "IntervalSeries", "ModelBundle", "PredictionFrame", "RNNParams",
     "ScenarioSpec", "SplitPlan", "advance", "arrest_check", "augment_noise", "classify",
-    "debounce", "dfft_magnitude", "encode", "evaluate", "frame_signal",
+    "dfft_magnitude", "encode", "evaluate", "frame_signal",
     "gen_clip", "gen_corpus", "gen_scenario", "infer_stream", "init_ae",
     "load_corpus", "load_model", "load_wav", "make_split",
     "normalize_spectrum", "reconstruct", "rnn_forward", "save_model",

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .dsp import FRAME_LEN, SPECTRUM_BINS
 from .errors import DivergedLoss, NonFiniteActivation
 from .optim import AdagradState, adagrad_step
@@ -161,38 +162,31 @@ def ae_backward_batch(params: AEParams, x: np.ndarray) -> tuple[dict[str, np.nda
     return grads, loss
 
 
-@dataclass
-class AETrainConfig:
-    epochs: int = 200
-    batch: int = 128
-    seed: int = 0
-    learning_rate: float = 0.05
-
-
-def train_ae(frames: np.ndarray, config: AETrainConfig) -> tuple[AEParams, list[float]]:
+def train_ae(frames: np.ndarray, cfg: RunConfig) -> tuple[AEParams, list[float]]:
     """Adagrad minimization of the bin-weighted mse on (n, 513) normalized half spectra.
 
-    Returns the trained parameters and the per-epoch mean loss trace;
-    fully deterministic for a fixed config.
+    Reads `seed`, `ae_epochs`, `ae_batch` and `ae_learning_rate` from
+    `cfg`. Returns the trained parameters and the per-epoch mean loss
+    trace; fully deterministic for a fixed config.
     """
     x = np.ascontiguousarray(frames, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != SPECTRUM_BINS:
         raise ValueError(f"frames must have shape (n, {SPECTRUM_BINS}), got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("need at least one frame to train on")
-    if config.batch < 1:
-        raise ValueError(f"batch must be >= 1, got {config.batch}")
+    if cfg.ae_batch < 1:
+        raise ValueError(f"batch must be >= 1, got {cfg.ae_batch}")
 
-    params = init_ae(config.seed)
+    params = init_ae(cfg.seed)
     tensors = params.to_dict()
-    state = AdagradState.for_params(tensors, config.learning_rate)
-    rng = np.random.default_rng([config.seed, 0xAE])
+    state = AdagradState.for_params(tensors, cfg.ae_learning_rate)
+    rng = np.random.default_rng([cfg.seed, 0xAE])
     trace: list[float] = []
-    for epoch in range(config.epochs):
+    for epoch in range(cfg.ae_epochs):
         order = rng.permutation(x.shape[0])
         losses = []
-        for start in range(0, order.size, config.batch):
-            grads, loss = ae_backward_batch(params, x[order[start:start + config.batch]])
+        for start in range(0, order.size, cfg.ae_batch):
+            grads, loss = ae_backward_batch(params, x[order[start:start + cfg.ae_batch]])
             losses.append(loss)
             adagrad_step(tensors, grads, state)
         epoch_loss = float(np.mean(losses))

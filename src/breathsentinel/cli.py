@@ -8,6 +8,8 @@ run with a fired alert, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -16,12 +18,12 @@ from typing import Iterator
 import numpy as np
 
 from . import dsp
-from .autoencoder import AETrainConfig, train_ae
+from .autoencoder import train_ae
 from .config import SEED_ENV_VAR, RunConfig, load_config
 from .corpus import load_corpus, make_split
 from .errors import BreathSentinelError, ConfigError
 from .model_io import ModelBundle, load_model, save_model
-from .rnn import RNNTrainConfig, evaluate, init_rnn, train_rnn
+from .rnn import evaluate, init_rnn, train_rnn
 from .stream import BreathEvent, infer_stream, match_events
 from .synthgen import MIN_PER_CLASS, ScenarioSpec, gen_corpus, gen_scenario, write_scenario
 from .vigil import Alert, run_detection
@@ -41,39 +43,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_config(args) -> RunConfig:
-    """defaults < --config file < explicit flags < BREATHSENTINEL_SEED."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    flag_fields = (
-        ("seed", "seed"), ("batch", "ae_batch"), ("hidden", "rnn_hidden"),
-        ("confidence", "confidence"), ("run_length", "run_length"),
-        ("interval_window", "interval_window"), ("trend_alpha", "trend_alpha"),
-        ("ci_level", "ci_level"), ("refractory", "refractory"),
-    )
-    for flag, field in flag_fields:
-        value = getattr(args, flag, None)
+    """defaults < --config file < explicit flags < BREATHSENTINEL_SEED.
+
+    Every flag that sets a run setting stores under its RunConfig field
+    name; a flag left out is None and keeps the file's or default value.
+    """
+    cfg = load_config(args.config) if args.config else RunConfig()
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg, field, value)
-    if getattr(args, "epochs", None) is not None:
-        if args.command == "train-ae":
-            cfg.ae_epochs = args.epochs
-        elif args.command == "train-rnn":
-            cfg.rnn_epochs = args.epochs
-    if getattr(args, "lr", None) is not None:
-        if args.command == "train-ae":
-            cfg.ae_learning_rate = args.lr
-        elif args.command == "train-rnn":
-            cfg.rnn_learning_rate = args.lr
-    if getattr(args, "noise_aug", None) is not None:
-        cfg.noise_aug = args.noise_aug
+            setattr(cfg, field.name, value)
     return cfg.validate().apply_env()
 
 
-def _required_path(args, cfg: RunConfig, flag: str, cfg_field: str) -> str:
-    """Resolve a path from its flag or, failing that, the config file."""
-    value = getattr(args, flag, None) or getattr(cfg, cfg_field, "")
+_PATH_FLAGS = {"corpus_dir": "--corpus", "model_path": "--model"}
+
+
+def _required_path(args, cfg: RunConfig, field: str) -> str:
+    """The resolved path setting `field`; a usage error when neither flag nor file set it."""
+    value = getattr(cfg, field)
     if not value:
-        print(f"usage: breathsentinel {args.command}: --{flag} is required "
-              f"(or set {cfg_field} in the config file)", file=sys.stderr)
+        print(f"usage: breathsentinel {args.command}: {_PATH_FLAGS[field]} is required "
+              f"(or set {field} in the config file)", file=sys.stderr)
         raise SystemExit(EX_USAGE)
     return value
 
@@ -91,10 +82,9 @@ def cmd_synth_corpus(args) -> int:
     cfg = _resolve_config(args)
     if args.per_class < MIN_PER_CLASS:
         raise ConfigError(f"--per-class={args.per_class}: must be >= {MIN_PER_CLASS}")
-    corpus = gen_corpus(args.per_class, cfg.seed, args.out)
-    counts = corpus.class_counts()
+    gen_corpus(args.per_class, cfg.seed, args.out)
     for label in dsp.LABELS:
-        print(f"{label},{counts[label]}")
+        print(f"{label},{args.per_class}")
     return EX_OK
 
 
@@ -108,30 +98,29 @@ def cmd_synth_scenario(args) -> int:
     return EX_OK
 
 
+_SCENARIO_FLAGS = ("duration", "onset", "base_period", "jitter_sd", "decrement_rate",
+                   "noise_floor")
+
+
 def _scenario_spec(args, cfg: RunConfig) -> ScenarioSpec:
-    duration = args.duration
-    if duration is None:
-        duration = 300.0 if args.kind == "normal" else 120.0
+    """ScenarioSpec from the scenario flags given; the others keep ScenarioSpec's defaults."""
+    given = {name: getattr(args, name) for name in _SCENARIO_FLAGS
+             if getattr(args, name) is not None}
+    if args.kind == "normal":
+        given.setdefault("duration", 300.0)
     try:
-        return ScenarioSpec(
-            kind=args.kind, duration=duration, base_period=args.base_period,
-            jitter_sd=args.jitter_sd, onset=args.onset,
-            decrement_rate=args.decrement_rate, noise_floor=args.noise_floor,
-            seed=cfg.seed,
-        )
+        return ScenarioSpec(kind=args.kind, seed=cfg.seed, **given)
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from None
 
 
 def cmd_train_ae(args) -> int:
     cfg = _resolve_config(args)
-    corpus = load_corpus(_required_path(args, cfg, "corpus", "corpus_dir"))
+    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
     for err in corpus.load_errors:
         print(f"skipped,{err}", file=sys.stderr)
     spectra = dsp.spectra(corpus.samples.reshape(-1, dsp.FRAME_LEN))
-    ae_params, trace = train_ae(spectra, AETrainConfig(
-        epochs=cfg.ae_epochs, batch=cfg.ae_batch, seed=cfg.seed,
-        learning_rate=cfg.ae_learning_rate))
+    ae_params, trace = train_ae(spectra, cfg)
     bundle = ModelBundle(
         ae=ae_params,
         rnn=init_rnn(cfg.seed, cfg.rnn_hidden),
@@ -155,12 +144,9 @@ def cmd_train_ae(args) -> int:
 
 def cmd_train_rnn(args) -> int:
     cfg = _resolve_config(args)
-    corpus = load_corpus(_required_path(args, cfg, "corpus", "corpus_dir"))
-    bundle = load_model(_required_path(args, cfg, "model", "model_path"))
-    rnn_params, trace = train_rnn(corpus, bundle.ae, RNNTrainConfig(
-        epochs=cfg.rnn_epochs, seed=cfg.seed,
-        learning_rate=cfg.rnn_learning_rate, noise_aug=cfg.noise_aug,
-        hidden=cfg.rnn_hidden))
+    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
+    bundle = load_model(_required_path(args, cfg, "model_path"))
+    rnn_params, trace = train_rnn(corpus, bundle.ae, cfg)
     metadata = dict(bundle.metadata)
     metadata.update({
         "seed": str(cfg.seed),
@@ -183,8 +169,8 @@ def cmd_train_rnn(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    bundle = load_model(_required_path(args, cfg, "model", "model_path"))
-    corpus = load_corpus(_required_path(args, cfg, "corpus", "corpus_dir"))
+    bundle = load_model(_required_path(args, cfg, "model_path"))
+    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
     # the split the bundle was trained on, unless a seed is given explicitly
     seed = cfg.seed
     if args.seed is None and SEED_ENV_VAR not in os.environ:
@@ -204,7 +190,7 @@ def cmd_eval(args) -> int:
 
 def cmd_monitor(args) -> int:
     cfg = _resolve_config(args)
-    bundle = load_model(_required_path(args, cfg, "model", "model_path"))
+    bundle = load_model(_required_path(args, cfg, "model_path"))
     if args.input == "-":
         _monitor(cfg, bundle, dsp.pcm_frames(sys.stdin.buffer))
     else:
@@ -215,27 +201,20 @@ def cmd_monitor(args) -> int:
 
 
 def _monitor(cfg: RunConfig, bundle: ModelBundle, frames: Iterator[np.ndarray]) -> None:
-    predictions = infer_stream(bundle.ae, bundle.rnn, frames)
-    for item in run_detection(
-            predictions, confidence=cfg.confidence, run_length=cfg.run_length,
-            refractory=cfg.refractory, interval_window=cfg.interval_window,
-            ci_level=cfg.ci_level, trend_alpha=cfg.trend_alpha):
+    for item in run_detection(infer_stream(bundle.ae, bundle.rnn, frames), cfg):
         print(_format_line(item), flush=True)
 
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    bundle = load_model(_required_path(args, cfg, "model", "model_path"))
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ConfigError(f"--tolerance={args.tolerance}: must be a finite number >= 0")
+    bundle = load_model(_required_path(args, cfg, "model_path"))
     spec = _scenario_spec(args, cfg)
     clip, truth = gen_scenario(spec)
-    frames = dsp.frame_signal(clip)
     events: list[BreathEvent] = []
     alerts: list[Alert] = []
-    for item in run_detection(
-            infer_stream(bundle.ae, bundle.rnn, frames),
-            confidence=cfg.confidence, run_length=cfg.run_length,
-            refractory=cfg.refractory, interval_window=cfg.interval_window,
-            ci_level=cfg.ci_level, trend_alpha=cfg.trend_alpha):
+    for item in run_detection(infer_stream(bundle.ae, bundle.rnn, dsp.frame_signal(clip)), cfg):
         (events if isinstance(item, BreathEvent) else alerts).append(item)
     report = simulate_report(spec, truth, events, alerts, tolerance=args.tolerance)
     if args.report:
@@ -246,7 +225,7 @@ def cmd_simulate(args) -> int:
 
 
 def simulate_report(spec: ScenarioSpec, truth, events: list[BreathEvent],
-                    alerts: list[Alert], tolerance: float = 1.0) -> str:
+                    alerts: list[Alert], tolerance: float) -> str:
     """Deterministic CSV-like detection-latency report for one scenario run.
 
     Alert latency is measured from the last ground-truth breath for arrest
@@ -293,11 +272,11 @@ def _add_scenario_flags(parser: argparse.ArgumentParser, kind_flag: str) -> None
     parser.add_argument(kind_flag, dest="kind", required=True,
                         choices=("normal", "arrest", "decrement"))
     parser.add_argument("--duration", type=float, help="seconds (default 300 normal, 120 otherwise)")
-    parser.add_argument("--onset", type=float, default=60.0)
-    parser.add_argument("--base-period", dest="base_period", type=float, default=2.5)
-    parser.add_argument("--jitter-sd", dest="jitter_sd", type=float, default=0.1)
-    parser.add_argument("--decrement-rate", dest="decrement_rate", type=float, default=0.04)
-    parser.add_argument("--noise-floor", dest="noise_floor", type=float, default=0.02)
+    parser.add_argument("--onset", type=float)
+    parser.add_argument("--base-period", dest="base_period", type=float)
+    parser.add_argument("--jitter-sd", dest="jitter_sd", type=float)
+    parser.add_argument("--decrement-rate", dest="decrement_rate", type=float)
+    parser.add_argument("--noise-floor", dest="noise_floor", type=float)
 
 
 def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
@@ -331,21 +310,21 @@ def build_parser() -> _Parser:
     ss.set_defaults(func=cmd_synth_scenario, command="synth")
 
     ta = sub.add_parser("train-ae", help="train the spectral compressor")
-    ta.add_argument("--corpus")
+    ta.add_argument("--corpus", dest="corpus_dir")
     ta.add_argument("--out", required=True)
-    ta.add_argument("--epochs", type=int)
-    ta.add_argument("--lr", type=float)
-    ta.add_argument("--batch", type=int)
+    ta.add_argument("--epochs", dest="ae_epochs", type=int)
+    ta.add_argument("--lr", dest="ae_learning_rate", type=float)
+    ta.add_argument("--batch", dest="ae_batch", type=int)
     _add_common(ta)
     ta.set_defaults(func=cmd_train_ae, command="train-ae")
 
     tr = sub.add_parser("train-rnn", help="train the breath classifier on a frozen compressor")
-    tr.add_argument("--corpus")
-    tr.add_argument("--model", help="bundle holding the trained compressor")
+    tr.add_argument("--corpus", dest="corpus_dir")
+    tr.add_argument("--model", dest="model_path", help="bundle holding the trained compressor")
     tr.add_argument("--out", required=True)
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--hidden", type=int)
+    tr.add_argument("--epochs", dest="rnn_epochs", type=int)
+    tr.add_argument("--lr", dest="rnn_learning_rate", type=float)
+    tr.add_argument("--hidden", dest="rnn_hidden", type=int)
     aug = tr.add_mutually_exclusive_group()
     aug.add_argument("--noise-aug", dest="noise_aug", action="store_true", default=None)
     aug.add_argument("--no-noise-aug", dest="noise_aug", action="store_false", default=None)
@@ -353,20 +332,20 @@ def build_parser() -> _Parser:
     tr.set_defaults(func=cmd_train_rnn, command="train-rnn")
 
     ev = sub.add_parser("eval", help="discrete metrics on the isolated test split")
-    ev.add_argument("--model")
-    ev.add_argument("--corpus")
+    ev.add_argument("--model", dest="model_path")
+    ev.add_argument("--corpus", dest="corpus_dir")
     _add_common(ev)
     ev.set_defaults(func=cmd_eval, command="eval")
 
     mo = sub.add_parser("monitor", help="stream events and alerts from a WAV file or stdin")
-    mo.add_argument("--model")
+    mo.add_argument("--model", dest="model_path")
     mo.add_argument("--input", required=True, help="WAV path, or '-' for raw PCM on stdin")
     _add_detection_flags(mo)
     _add_common(mo)
     mo.set_defaults(func=cmd_monitor, command="monitor")
 
     si = sub.add_parser("simulate", help="run a scenario end to end and report latencies")
-    si.add_argument("--model")
+    si.add_argument("--model", dest="model_path")
     _add_scenario_flags(si, "--scenario")
     si.add_argument("--report", help="write the report here instead of stdout")
     si.add_argument("--tolerance", type=float, default=1.0)

@@ -19,12 +19,13 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import dsp
 from .autoencoder import AEParams, _glorot, _sigmoid, encode_batch
+from .config import RunConfig
 from .errors import DivergedLoss, EmptyEvalSet, NonFiniteActivation
 from .optim import AdagradState, adagrad_step, clip_gradients
 
 N_CLASSES = len(dsp.LABELS)
 INPUT_DIM = 50
-HIDDEN_DEFAULT = 75
+HIDDEN_DEFAULT = RunConfig.rnn_hidden
 WINDOW_FRAMES = 16
 GRAD_CLIP_NORM = 5.0
 TENSOR_NAMES = ("w_xh", "w_hh", "b_h", "w_hy", "b_y")
@@ -172,15 +173,6 @@ def one_hot(label: int) -> np.ndarray:
     return target
 
 
-@dataclass
-class RNNTrainConfig:
-    epochs: int = 300
-    seed: int = 0
-    learning_rate: float = 0.01
-    noise_aug: bool = True
-    hidden: int = HIDDEN_DEFAULT
-
-
 @dataclass(frozen=True)
 class EpochMetrics:
     epoch: int
@@ -228,7 +220,7 @@ def evaluate(params: RNNParams, ae: AEParams, samples: np.ndarray,
 
 
 def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
-              config: RNNTrainConfig) -> tuple[RNNParams, list[EpochMetrics]]:
+              cfg: RunConfig) -> tuple[RNNParams, list[EpochMetrics]]:
     """Train the classifier on a frozen autoencoder's codes.
 
     Per epoch: draw that epoch's validation and training clips from the
@@ -236,14 +228,15 @@ def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
     domain, re-run the DFFT + encoder on them, then apply one clipped
     Adagrad update per clip. Validation accuracy is scored on the epoch's
     dynamically drawn validation clips; the isolated test clips are never
-    touched here. Deterministic per seed.
+    touched here. Reads `seed`, `rnn_epochs`, `rnn_learning_rate`,
+    `rnn_hidden` and `noise_aug` from `cfg`. Deterministic per seed.
     """
-    plan = corpus_mod.make_split(corpus, config.seed)
+    plan = corpus_mod.make_split(corpus, cfg.seed)
 
-    params = init_rnn(config.seed, config.hidden)
+    params = init_rnn(cfg.seed, cfg.rnn_hidden)
     tensors = params.to_dict()
-    state = AdagradState.for_params(tensors, config.learning_rate)
-    aug_rng = np.random.default_rng([config.seed, 0x5EED])
+    state = AdagradState.for_params(tensors, cfg.rnn_learning_rate)
+    aug_rng = np.random.default_rng([cfg.seed, 0x5EED])
 
     # Unaugmented latent codes for the pool, computed once and indexed by
     # corpus row: validation clips are never augmented, so their codes are
@@ -254,10 +247,10 @@ def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
     del pool_codes
 
     trace: list[EpochMetrics] = []
-    for epoch in range(config.epochs):
+    for epoch in range(cfg.rnn_epochs):
         val_rows, train_rows = plan.epoch_draw(epoch)
 
-        if config.noise_aug:
+        if cfg.noise_aug:
             seeds = aug_rng.integers(0, 2**63, size=len(train_rows))
             samples = np.stack([
                 corpus_mod.augment_noise(corpus.samples[row], int(s))

@@ -20,9 +20,6 @@ from .errors import BreathSentinelError, OutOfOrderPrediction
 
 BREATH_KINDS = ("inhale", "exhale")
 
-CONFIDENCE_DEFAULT = 0.99
-RUN_LENGTH_DEFAULT = 3
-REFRACTORY_DEFAULT = 1.0
 WINDOW_SECONDS = rnn.WINDOW_FRAMES * dsp.FRAME_SECONDS  # 2.0
 
 
@@ -83,9 +80,7 @@ class Debouncer:
     cannot double-count.
     """
 
-    def __init__(self, confidence: float = CONFIDENCE_DEFAULT,
-                 run_length: int = RUN_LENGTH_DEFAULT,
-                 refractory: float = REFRACTORY_DEFAULT):
+    def __init__(self, confidence: float, run_length: int, refractory: float):
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {confidence}")
         if run_length < 1:
@@ -132,18 +127,6 @@ class Debouncer:
         return None
 
 
-def debounce(predictions: Iterable[PredictionFrame],
-             confidence: float = CONFIDENCE_DEFAULT,
-             run_length: int = RUN_LENGTH_DEFAULT,
-             refractory: float = REFRACTORY_DEFAULT) -> Iterator[BreathEvent]:
-    """Generator form of the Debouncer state machine."""
-    debouncer = Debouncer(confidence=confidence, run_length=run_length, refractory=refractory)
-    for pred in predictions:
-        event = debouncer.push(pred)
-        if event is not None:
-            yield event
-
-
 @dataclass(frozen=True)
 class MatchReport:
     """Result of aligning detected events against ground-truth onsets."""
@@ -156,7 +139,7 @@ class MatchReport:
     median_lead: float  # truth time minus event time, median over all events
 
 
-def match_events(events: list[BreathEvent], truth_onsets, tolerance: float = 1.0,
+def match_events(events: list[BreathEvent], truth_onsets, tolerance: float,
                  align: bool = True) -> MatchReport:
     """Greedy per-kind matching of events to ground-truth onsets.
 

@@ -11,13 +11,14 @@ filter-design dependency.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dsp
-from .corpus import Corpus, load_corpus
 from .errors import IoError
 
 SCENARIO_KINDS = ("normal", "arrest", "decrement")
@@ -48,6 +49,11 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
+        for field in dataclasses.fields(self):
+            if field.type == "float" and not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
+        if self.duration <= 0.0:
+            raise ValueError(f"duration must be > 0 s, got {self.duration}")
         if self.base_period < 1.0:
             raise ValueError(f"base_period must be >= 1.0 s, got {self.base_period}")
         if not self.onset < self.duration:
@@ -220,21 +226,26 @@ def gen_clip(kind: str, seed) -> dsp.AudioClip:
     return dsp.AudioClip(samples=x)
 
 
-def gen_corpus(n_per_class: int, seed: int, out_dir) -> Corpus:
-    """Write a labeled corpus (standard directory layout) and load it back."""
+def gen_corpus(n_per_class: int, seed: int, out_dir) -> list[Path]:
+    """Write a labeled corpus (standard directory layout); returns the paths written.
+
+    One clip is in memory at a time; read the corpus with load_corpus.
+    """
     if n_per_class < MIN_PER_CLASS:
         raise ValueError(f"n_per_class must be >= {MIN_PER_CLASS}, got {n_per_class}")
     root = Path(out_dir)
+    paths: list[Path] = []
     try:
         for ci, label in enumerate(dsp.LABELS):
             class_dir = root / label
             class_dir.mkdir(parents=True, exist_ok=True)
             for i in range(n_per_class):
-                clip = gen_clip(label, seed=[seed, ci, i])
-                dsp.write_wav(class_dir / f"{label}_{i:04d}.wav", clip.samples)
+                path = class_dir / f"{label}_{i:04d}.wav"
+                dsp.write_wav(path, gen_clip(label, seed=[seed, ci, i]).samples)
+                paths.append(path)
     except OSError as exc:
         raise IoError(f"writing corpus under {root}: {exc}") from exc
-    return load_corpus(root)
+    return paths
 
 
 def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:

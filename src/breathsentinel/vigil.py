@@ -19,13 +19,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .config import RunConfig
 from .dsp import FRAME_SECONDS
 from .errors import DomainError, NonMonotonicTime
 from .stream import WINDOW_SECONDS, BreathEvent, Debouncer, PredictionFrame
 
-INTERVAL_WINDOW_DEFAULT = 20
-CI_LEVEL_DEFAULT = 0.80
-TREND_ALPHA_DEFAULT = 0.05
 ARREST_MIN_INTERVALS = 5
 TREND_MIN_INTERVALS = 8
 ARREST_FLOOR_SECONDS = 0.5
@@ -53,7 +51,7 @@ class IntervalSeries:
     there rather than on every arrest tick; `sd` is NaN below 2 intervals.
     """
 
-    def __init__(self, capacity: int = INTERVAL_WINDOW_DEFAULT):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -197,8 +195,7 @@ def ols_slope_t(y: np.ndarray) -> tuple[float, float]:
     return b1, t
 
 
-def arrest_check(series: IntervalSeries, now: float,
-                 ci_level: float = CI_LEVEL_DEFAULT) -> Alert | None:
+def arrest_check(series: IntervalSeries, now: float, ci_level: float) -> Alert | None:
     """Alarm when the time since the last breath exceeds the tolerance bound.
 
     The bound is mean + t_{(1+ci)/2, n-1} * sd over the buffered
@@ -220,8 +217,7 @@ def arrest_check(series: IntervalSeries, now: float,
     return None
 
 
-def slope_check(series: IntervalSeries,
-                alpha: float = TREND_ALPHA_DEFAULT) -> Alert | None:
+def slope_check(series: IntervalSeries, alpha: float) -> Alert | None:
     """One-sided t-test for a positive trend in the buffered intervals.
 
     Lengthening intervals are the dangerous direction, so only a positive
@@ -239,13 +235,13 @@ def slope_check(series: IntervalSeries,
     return None
 
 
-def run_detection(predictions: Iterable[PredictionFrame], *,
-                  confidence: float = 0.99, run_length: int = 3,
-                  refractory: float = 1.0,
-                  interval_window: int = INTERVAL_WINDOW_DEFAULT,
-                  ci_level: float = CI_LEVEL_DEFAULT,
-                  trend_alpha: float = TREND_ALPHA_DEFAULT) -> Iterator[BreathEvent | Alert]:
+def run_detection(predictions: Iterable[PredictionFrame],
+                  cfg: RunConfig) -> Iterator[BreathEvent | Alert]:
     """Full detection chain: predictions -> debounced events -> alarms.
+
+    The debouncer reads `confidence`, `run_length` and `refractory` from
+    `cfg`, the interval buffer `interval_window`, the arrest test
+    `ci_level` and the trend test `trend_alpha`.
 
     Yields BreathEvent and Alert objects in detection order. All emitted
     timestamps live in the event time base: events are anchored at their
@@ -261,9 +257,9 @@ def run_detection(predictions: Iterable[PredictionFrame], *,
     arrest test ticks on every prediction (every 1/8 s); the trend test
     runs after each new interval.
     """
-    debouncer = Debouncer(confidence=confidence, run_length=run_length, refractory=refractory)
-    series = IntervalSeries(capacity=interval_window)
-    confirmation_lag = WINDOW_SECONDS + (run_length - 1) * FRAME_SECONDS
+    debouncer = Debouncer(cfg.confidence, cfg.run_length, cfg.refractory)
+    series = IntervalSeries(cfg.interval_window)
+    confirmation_lag = WINDOW_SECONDS + (cfg.run_length - 1) * FRAME_SECONDS
     armed = {"arrest": True, "trend": True}
     for pred in predictions:
         event = debouncer.push(pred)
@@ -271,14 +267,13 @@ def run_detection(predictions: Iterable[PredictionFrame], *,
             series.push_event(event)
             yield event
             if event.kind == "inhale":
-                alert = slope_check(series, alpha=trend_alpha)
+                alert = slope_check(series, cfg.trend_alpha)
                 if alert is not None and armed["trend"]:
                     armed["trend"] = False
                     yield alert
                 elif alert is None:
                     armed["trend"] = True
-        alert = arrest_check(series, now=pred.end_time - confirmation_lag,
-                             ci_level=ci_level)
+        alert = arrest_check(series, pred.end_time - confirmation_lag, cfg.ci_level)
         if alert is not None and armed["arrest"]:
             armed["arrest"] = False
             yield alert

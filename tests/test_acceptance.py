@@ -20,7 +20,7 @@ from breathsentinel import autoencoder as ae_mod
 from breathsentinel import cli, dsp
 from breathsentinel import rnn as rnn_mod
 from breathsentinel.config import RunConfig
-from breathsentinel.corpus import make_split
+from breathsentinel.corpus import load_corpus, make_split
 from breathsentinel.model_io import ModelBundle, save_model
 from breathsentinel.optim import grad_check
 from breathsentinel.stream import BreathEvent, infer_stream, match_events
@@ -67,12 +67,12 @@ def desk_model(tmp_path_factory) -> DeskModel:
     corpus_dir = root / "corpus"
     started = time.perf_counter()
     with threadpool_limits(1):
-        corpus = gen_corpus(150, seed=DESK_SEED, out_dir=corpus_dir)
+        gen_corpus(150, seed=DESK_SEED, out_dir=corpus_dir)
+        corpus = load_corpus(corpus_dir)
         spectra = dsp.spectra(corpus.samples.reshape(-1, dsp.FRAME_LEN))
-        ae_params, _ = ae_mod.train_ae(
-            spectra, ae_mod.AETrainConfig(epochs=200, batch=128, seed=DESK_SEED))
-        rnn_params, _ = rnn_mod.train_rnn(
-            corpus, ae_params, rnn_mod.RNNTrainConfig(epochs=300, seed=DESK_SEED))
+        cfg = RunConfig(seed=DESK_SEED, ae_epochs=200, ae_batch=128, rnn_epochs=300)
+        ae_params, _ = ae_mod.train_ae(spectra, cfg)
+        rnn_params, _ = rnn_mod.train_rnn(corpus, ae_params, cfg)
     elapsed = time.perf_counter() - started
 
     rows = make_split(corpus, DESK_SEED).test_rows
@@ -88,7 +88,8 @@ def desk_model(tmp_path_factory) -> DeskModel:
 def detect(model: DeskModel, spec: ScenarioSpec):
     clip, truth = gen_scenario(spec)
     events, alerts = [], []
-    for item in run_detection(infer_stream(model.ae, model.rnn, dsp.frame_signal(clip))):
+    for item in run_detection(infer_stream(model.ae, model.rnn, dsp.frame_signal(clip)),
+                              RunConfig()):
         (events if isinstance(item, BreathEvent) else alerts).append(item)
     return truth, events, alerts
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from breathsentinel import autoencoder as ae
+from breathsentinel.config import RunConfig
 from breathsentinel.errors import DivergedLoss
 from breathsentinel.optim import grad_check
 
@@ -158,8 +159,8 @@ def test_zero_input_zero_bias_first_layer_gradient_is_zero():
 def test_gradient_norm_small_after_convergence():
     # a tiny frame set makes the minimum reachable within the test budget
     frames = synthetic_frames(2, seed=1)
-    params, trace = ae.train_ae(frames, ae.AETrainConfig(epochs=3000, batch=8, seed=1,
-                                                         learning_rate=0.1))
+    params, trace = ae.train_ae(frames, RunConfig(ae_epochs=3000, ae_batch=8, seed=1,
+                                                  ae_learning_rate=0.1))
     grads, _ = ae.ae_backward_batch(params, frames)
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert norm < 1e-3
@@ -170,7 +171,7 @@ def test_gradient_norm_small_after_convergence():
 
 def test_zero_epochs_returns_initialized_params():
     frames = synthetic_frames(4)
-    params, trace = ae.train_ae(frames, ae.AETrainConfig(epochs=0, seed=21))
+    params, trace = ae.train_ae(frames, RunConfig(ae_epochs=0, seed=21))
     reference = ae.init_ae(21)
     for name in ae.TENSOR_NAMES:
         assert np.array_equal(getattr(params, name), getattr(reference, name))
@@ -179,7 +180,7 @@ def test_zero_epochs_returns_initialized_params():
 
 def test_training_reduces_loss_and_stays_finite():
     frames = synthetic_frames(300, seed=2)
-    params, trace = ae.train_ae(frames, ae.AETrainConfig(epochs=200, batch=128, seed=2))
+    params, trace = ae.train_ae(frames, RunConfig(ae_epochs=200, ae_batch=128, seed=2))
     assert all(math.isfinite(v) for v in trace)
     assert trace[-1] < trace[0] / 2
     # smoothed over 10-epoch windows the loss trends down; the 5% slack
@@ -190,7 +191,7 @@ def test_training_reduces_loss_and_stays_finite():
 
 def test_training_is_deterministic():
     frames = synthetic_frames(40, seed=3)
-    cfg = ae.AETrainConfig(epochs=5, batch=16, seed=33)
+    cfg = RunConfig(ae_epochs=5, ae_batch=16, seed=33)
     p1, t1 = ae.train_ae(frames, cfg)
     p2, t2 = ae.train_ae(frames, cfg)
     assert t1 == t2
@@ -208,4 +209,4 @@ def test_diverged_loss_detected(monkeypatch):
 
     monkeypatch.setattr(ae, "ae_backward_batch", broken_backward)
     with pytest.raises(DivergedLoss):
-        ae.train_ae(frames, ae.AETrainConfig(epochs=1, batch=16, seed=4))
+        ae.train_ae(frames, RunConfig(ae_epochs=1, ae_batch=16, seed=4))

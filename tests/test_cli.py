@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 
 from breathsentinel import cli, dsp, rnn
 from breathsentinel.autoencoder import encode_batch, init_ae
+from breathsentinel.config import RunConfig
 from breathsentinel.corpus import make_split
 from breathsentinel.model_io import ModelBundle, load_model, save_model
 from breathsentinel.rnn import init_rnn
@@ -47,7 +49,9 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    for command in ("synth", "train-ae", "train-rnn", "eval", "monitor", "simulate"):
+        assert command in out, command
 
 
 def test_runtime_error_exits_one(tmp_path, capsys):
@@ -74,6 +78,21 @@ OUT_OF_RANGE = {
     "base-period": ["synth", "scenario", "--kind", "normal", "--base-period", "0.5"],
     "decrement-rate": ["synth", "scenario", "--kind", "decrement", "--decrement-rate", "0.5"],
     "jitter-sd": ["synth", "scenario", "--kind", "normal", "--jitter-sd", "-1"],
+    "duration-inf": ["synth", "scenario", "--kind", "normal", "--duration", "inf"],
+    "simulate-duration-inf": ["simulate", "--scenario", "normal", "--duration", "inf"],
+    "jitter-sd-nan": ["synth", "scenario", "--kind", "normal", "--jitter-sd", "nan"],
+    "simulate-jitter-sd-nan": ["simulate", "--scenario", "normal", "--jitter-sd", "nan"],
+    "base-period-nan": ["synth", "scenario", "--kind", "normal", "--base-period", "nan"],
+    "simulate-base-period-nan": ["simulate", "--scenario", "normal", "--base-period", "nan"],
+    "negative-duration": ["synth", "scenario", "--kind", "normal", "--onset", "-10",
+                          "--duration", "-5"],
+    "simulate-negative-duration": ["simulate", "--scenario", "normal", "--onset", "-10",
+                                   "--duration", "-5"],
+    "noise-floor-nan": ["synth", "scenario", "--kind", "normal", "--noise-floor", "nan"],
+    "simulate-noise-floor-nan": ["simulate", "--scenario", "normal", "--noise-floor", "nan"],
+    "tolerance-nan": ["simulate", "--scenario", "normal", "--tolerance", "nan"],
+    "tolerance-inf": ["simulate", "--scenario", "normal", "--tolerance", "inf"],
+    "tolerance-negative": ["simulate", "--scenario", "normal", "--tolerance", "-1"],
 }
 
 
@@ -92,11 +111,92 @@ def test_out_of_range_flag_exits_one_with_one_error_line(name, tmp_path, untrain
     assert list(tmp_path.iterdir()) == []
 
 
+# --- run settings ---
+
+# (command, flag arguments, RunConfig field, value from the flag, value from a config file)
+SETTING_FLAGS = [
+    ("train-ae", ["--epochs", "7"], "ae_epochs", 7, 3),
+    ("train-ae", ["--lr", "0.2"], "ae_learning_rate", 0.2, 0.3),
+    ("train-ae", ["--batch", "16"], "ae_batch", 16, 32),
+    ("train-ae", ["--corpus", "c1"], "corpus_dir", "c1", "c2"),
+    ("train-ae", ["--seed", "5"], "seed", 5, 6),
+    ("train-rnn", ["--epochs", "9"], "rnn_epochs", 9, 4),
+    ("train-rnn", ["--lr", "0.03"], "rnn_learning_rate", 0.03, 0.04),
+    ("train-rnn", ["--hidden", "50"], "rnn_hidden", 50, 100),
+    ("train-rnn", ["--noise-aug"], "noise_aug", True, False),
+    ("train-rnn", ["--no-noise-aug"], "noise_aug", False, True),
+    ("train-rnn", ["--corpus", "c1"], "corpus_dir", "c1", "c2"),
+    ("train-rnn", ["--model", "m1.bsm"], "model_path", "m1.bsm", "m2.bsm"),
+    ("eval", ["--corpus", "c1"], "corpus_dir", "c1", "c2"),
+    ("eval", ["--model", "m1.bsm"], "model_path", "m1.bsm", "m2.bsm"),
+    ("synth", ["--seed", "5"], "seed", 5, 6),
+] + [
+    (command, flag, field, flag_value, file_value)
+    for command in ("monitor", "simulate")
+    for flag, field, flag_value, file_value in [
+        (["--model", "m1.bsm"], "model_path", "m1.bsm", "m2.bsm"),
+        (["--confidence", "0.95"], "confidence", 0.95, 0.9),
+        (["--run-length", "4"], "run_length", 4, 5),
+        (["--interval-window", "30"], "interval_window", 30, 40),
+        (["--trend-alpha", "0.1"], "trend_alpha", 0.1, 0.2),
+        (["--ci-level", "0.9"], "ci_level", 0.9, 0.95),
+        (["--refractory", "2"], "refractory", 2.0, 0.5),
+    ]
+]
+COMMAND_ARGV = {
+    "synth": ["synth", "corpus", "--out", "c"],
+    "train-ae": ["train-ae", "--out", "o.bsm"],
+    "train-rnn": ["train-rnn", "--out", "o.bsm"],
+    "eval": ["eval"],
+    "monitor": ["monitor", "--input", "-"],
+    "simulate": ["simulate", "--scenario", "normal"],
+}
+
+
+def _resolved(argv):
+    return cli._resolve_config(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command, flag, field, flag_value, file_value", SETTING_FLAGS,
+                         ids=[f"{c}{' '.join(f)}" for c, f, *_ in SETTING_FLAGS])
+def test_setting_flag_reaches_its_field(command, flag, field, flag_value, file_value,
+                                        tmp_path, monkeypatch):
+    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+    base = COMMAND_ARGV[command]
+    cfg = _resolved(base + flag)
+    assert getattr(cfg, field) == flag_value
+    # no other setting moves, so train-ae --epochs leaves rnn_epochs alone
+    assert dataclasses.replace(cfg, **{field: getattr(RunConfig(), field)}) == RunConfig()
+
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{field}={str(file_value).lower()}\n")
+    assert getattr(_resolved(base + ["--config", str(config)]), field) == file_value
+    assert getattr(_resolved(base + ["--config", str(config)] + flag), field) == flag_value
+
+
 # --- synth ---
 
 def test_synth_corpus_writes_labeled_tree(tiny_corpus_dir):
     for label in dsp.LABELS:
         assert len(list((tiny_corpus_dir / label).glob("*.wav"))) == 10
+
+
+def _peak_synth_corpus_bytes(out, per_class, capsys) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(["synth", "corpus", "--out", str(out), "--per-class", str(per_class),
+                         "--seed", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "".join(f"{label},{per_class}\n" for label in dsp.LABELS)
+    return peak
+
+
+def test_synth_corpus_memory_does_not_grow_with_the_corpus(tmp_path, capsys):
+    peak_small = _peak_synth_corpus_bytes(tmp_path / "small", 10, capsys)
+    peak_large = _peak_synth_corpus_bytes(tmp_path / "large", 60, capsys)
+    assert peak_large <= 1.5 * peak_small, (peak_small, peak_large)
 
 
 def test_synth_scenario_writes_wav_and_truth(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from breathsentinel import dsp, rnn
 from breathsentinel.autoencoder import init_ae
+from breathsentinel.config import RunConfig
 from breathsentinel.errors import EmptyEvalSet
 from breathsentinel.optim import grad_check
 
@@ -222,7 +223,7 @@ def test_evaluate_refuses_empty_set():
 
 def test_train_zero_epochs_returns_initialized(desk_corpus):
     ae = init_ae(2)
-    params, trace = rnn.train_rnn(desk_corpus, ae, rnn.RNNTrainConfig(epochs=0, seed=2))
+    params, trace = rnn.train_rnn(desk_corpus, ae, RunConfig(rnn_epochs=0, seed=2))
     reference = rnn.init_rnn(2)
     for name in rnn.TENSOR_NAMES:
         assert np.array_equal(getattr(params, name), getattr(reference, name))
@@ -240,7 +241,7 @@ def test_validation_draw_changes_between_epochs(desk_corpus):
 
 def test_short_training_is_deterministic(desk_corpus):
     ae = init_ae(3)
-    cfg = rnn.RNNTrainConfig(epochs=2, seed=3)
+    cfg = RunConfig(rnn_epochs=2, seed=3)
     p1, t1 = rnn.train_rnn(desk_corpus, ae, cfg)
     p2, t2 = rnn.train_rnn(desk_corpus, ae, cfg)
     assert t1 == t2

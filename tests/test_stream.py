@@ -5,16 +5,29 @@ from hypothesis import strategies as st
 
 from breathsentinel import dsp
 from breathsentinel.autoencoder import init_ae
+from breathsentinel.config import RunConfig
 from breathsentinel.errors import OutOfOrderPrediction
 from breathsentinel.rnn import init_rnn
 from breathsentinel.stream import (
     BreathEvent,
     Debouncer,
     PredictionFrame,
-    debounce,
     infer_stream,
     match_events,
 )
+
+CFG = RunConfig()
+
+
+def default_debouncer():
+    return Debouncer(CFG.confidence, CFG.run_length, CFG.refractory)
+
+
+def debounce(predictions):
+    """The events a debouncer with the default settings emits for `predictions`."""
+    debouncer = default_debouncer()
+    events = (debouncer.push(pred) for pred in predictions)
+    return [event for event in events if event is not None]
 
 
 def frames_for(seconds, seed=None):
@@ -142,7 +155,7 @@ def test_refractory_suppresses_same_kind_repeat():
 
 
 def test_out_of_order_prediction_rejected():
-    debouncer = Debouncer()
+    debouncer = default_debouncer()
     debouncer.push(PredictionFrame(end_time=2.0, label="unknown", confidence=0.5))
     with pytest.raises(OutOfOrderPrediction):
         debouncer.push(PredictionFrame(end_time=2.0, label="unknown", confidence=0.5))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -56,9 +57,10 @@ def test_gen_clip_rejects_unknown_kind():
 # --- corpus generation ---
 
 def test_corpus_file_count_and_roundtrip(tmp_path):
-    corpus = gen_corpus(10, seed=12, out_dir=tmp_path)
+    paths = gen_corpus(10, seed=12, out_dir=tmp_path)
     files = sorted(tmp_path.rglob("*.wav"))
-    assert len(files) == 30
+    assert len(files) == 30 and sorted(paths) == files
+    corpus = load_corpus(tmp_path)
     assert len(corpus) == 30 and corpus.load_errors == []
     again = load_corpus(tmp_path)
     assert again.fingerprint() == corpus.fingerprint()
@@ -74,8 +76,9 @@ def test_same_seed_gives_bit_identical_corpus(tmp_path):
 
 
 def test_reference_scale_corpus_loads_balanced(tmp_path):
-    corpus = gen_corpus(500, seed=1, out_dir=tmp_path)
+    assert len(gen_corpus(500, seed=1, out_dir=tmp_path)) == 1500
     assert len(list(tmp_path.rglob("*.wav"))) == 1500
+    corpus = load_corpus(tmp_path)
     assert len(corpus) == 1500
     assert corpus.class_counts() == {"inhale": 500, "exhale": 500, "unknown": 500}
     assert corpus.load_errors == []
@@ -97,6 +100,22 @@ def test_spec_validation():
         ScenarioSpec(kind="arrest", duration=30.0, onset=60.0)
     with pytest.raises(ValueError):
         ScenarioSpec(kind="decrement", decrement_rate=0.5)
+
+
+@pytest.mark.parametrize("fields", [
+    {"duration": math.inf},
+    {"duration": math.nan},
+    {"jitter_sd": math.nan},
+    {"base_period": math.nan},
+    {"base_period": math.inf},
+    {"noise_floor": math.nan},
+    {"onset": -math.inf},
+    {"onset": -10.0, "duration": -5.0},
+    {"onset": -10.0, "duration": 0.0},
+], ids=repr)
+def test_spec_rejects_non_finite_and_empty_scenarios(fields):
+    with pytest.raises(ValueError):
+        ScenarioSpec(kind="normal", **fields)
 
 
 def test_arrest_scenario_has_no_breaths_after_onset():

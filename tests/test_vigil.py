@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from breathsentinel.config import RunConfig
 from breathsentinel.errors import DomainError, NonMonotonicTime
 from breathsentinel.stream import WINDOW_SECONDS, BreathEvent, Debouncer, PredictionFrame
 from breathsentinel.vigil import (
@@ -18,9 +19,11 @@ from breathsentinel.vigil import (
     t_quantile,
 )
 
+CFG = RunConfig()
+
 
 def series_from_intervals(intervals, start=0.0):
-    series = IntervalSeries()
+    series = IntervalSeries(CFG.interval_window)
     t = start
     series.push_event(BreathEvent(time=t, kind="inhale"))
     for gap in intervals:
@@ -43,7 +46,7 @@ def test_ring_buffer_keeps_latest_20():
 
 
 def test_exhale_updates_clock_but_not_intervals():
-    series = IntervalSeries()
+    series = IntervalSeries(CFG.interval_window)
     series.push_event(BreathEvent(time=1.0, kind="inhale"))
     series.push_event(BreathEvent(time=2.1, kind="exhale"))
     assert len(series) == 0
@@ -53,7 +56,7 @@ def test_exhale_updates_clock_but_not_intervals():
 
 
 def test_non_monotonic_event_rejected():
-    series = IntervalSeries()
+    series = IntervalSeries(CFG.interval_window)
     series.push_event(BreathEvent(time=2.0, kind="inhale"))
     with pytest.raises(NonMonotonicTime):
         series.push_event(BreathEvent(time=2.0, kind="exhale"))
@@ -102,15 +105,15 @@ def test_memoized_t_quantile_is_bit_equal_to_bisection():
 
 def test_arrest_unarmed_below_five_intervals():
     series = series_from_intervals([2.5] * 4)  # n = 4
-    assert arrest_check(series, now=series.last_breath_time + 1000.0) is None
+    assert arrest_check(series, now=series.last_breath_time + 1000.0, ci_level=CFG.ci_level) is None
 
 
 def test_arrest_constant_rhythm_uses_floor_bound():
     series = series_from_intervals([2.5] * 10)
     # sd = 0 so the bound is the floor: mean + 0.5 = 3.0
     last = series.last_breath_time
-    assert arrest_check(series, now=last + 3.0) is None
-    alert = arrest_check(series, now=last + 3.1)
+    assert arrest_check(series, now=last + 3.0, ci_level=CFG.ci_level) is None
+    alert = arrest_check(series, now=last + 3.1, ci_level=CFG.ci_level)
     assert alert is not None
     assert alert.kind == "arrest"
     assert alert.threshold == pytest.approx(3.0)
@@ -124,8 +127,8 @@ def test_arrest_spread_bound_with_known_statistics():
     mean = float(np.mean(series.intervals()))
     sd = float(np.std(series.intervals(), ddof=1))
     expected_bound = max(mean + t_quantile(0.90, 19) * sd, mean + 0.5)
-    assert arrest_check(series, now=series.last_breath_time + expected_bound - 0.01) is None
-    alert = arrest_check(series, now=series.last_breath_time + expected_bound + 0.01)
+    assert arrest_check(series, now=series.last_breath_time + expected_bound - 0.01, ci_level=CFG.ci_level) is None
+    alert = arrest_check(series, now=series.last_breath_time + expected_bound + 0.01, ci_level=CFG.ci_level)
     assert alert is not None
     assert alert.threshold == pytest.approx(expected_bound, abs=1e-9)
 
@@ -138,7 +141,7 @@ def test_arrest_no_alert_within_bound_example():
     intervals = 2.5 + (base - base.mean()) * scale
     series = series_from_intervals(intervals)
     assert float(np.std(series.intervals(), ddof=1)) == pytest.approx(0.3)
-    assert arrest_check(series, now=series.last_breath_time + 2.7) is None
+    assert arrest_check(series, now=series.last_breath_time + 2.7, ci_level=CFG.ci_level) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,7 +153,7 @@ def test_arrest_is_monotone_in_elapsed_time(seed):
     fired_at = None
     for step in range(80):
         now = last + 0.25 * step
-        alert = arrest_check(series, now=now)
+        alert = arrest_check(series, now=now, ci_level=CFG.ci_level)
         if fired_at is not None:
             assert alert is not None  # once armed and exceeded, stays exceeded
         if alert is not None and fired_at is None:
@@ -161,13 +164,13 @@ def test_arrest_is_monotone_in_elapsed_time(seed):
 
 def test_constant_intervals_never_trend():
     series = series_from_intervals([2.5] * 12)
-    assert slope_check(series) is None
+    assert slope_check(series, CFG.trend_alpha) is None
 
 
 def test_exact_positive_line_alerts_by_convention():
     # 0.5 steps are exactly representable, so the fit has zero residual
     series = series_from_intervals(np.arange(2.5, 7.5, 0.5))
-    alert = slope_check(series)
+    alert = slope_check(series, CFG.trend_alpha)
     assert alert is not None
     assert alert.kind == "trend"
     assert math.isinf(alert.statistic)
@@ -175,14 +178,14 @@ def test_exact_positive_line_alerts_by_convention():
 
 def test_near_exact_line_also_alerts():
     series = series_from_intervals(np.arange(2.5, 3.5, 0.1))  # tiny float residue
-    alert = slope_check(series)
+    alert = slope_check(series, CFG.trend_alpha)
     assert alert is not None
     assert alert.statistic > alert.threshold
 
 
 def test_below_minimum_points_stays_quiet():
     series = series_from_intervals(np.arange(2.5, 3.2, 0.1)[:7])
-    assert slope_check(series) is None
+    assert slope_check(series, CFG.trend_alpha) is None
 
 
 def test_noisy_slope_matches_reference_regression():
@@ -193,7 +196,7 @@ def test_noisy_slope_matches_reference_regression():
     ref = stats.linregress(np.arange(15), series.intervals())
     assert b1 == pytest.approx(ref.slope, abs=1e-12)
     assert t == pytest.approx(ref.slope / ref.stderr, abs=1e-6)
-    alert = slope_check(series)
+    alert = slope_check(series, CFG.trend_alpha)
     threshold = t_quantile(0.95, 13)
     assert (alert is not None) == (t > threshold)
 
@@ -237,7 +240,7 @@ def test_run_detection_latches_arrest_once():
     while t < 60.0:
         preds.append(PredictionFrame(end_time=t, label="unknown", confidence=0.999))
         t += 0.125
-    out = list(run_detection(iter(preds)))
+    out = list(run_detection(iter(preds), CFG))
     alerts = [o for o in out if getattr(o, "kind", "") == "arrest"]
     assert len(alerts) == 1
     events = [o for o in out if isinstance(o, BreathEvent)]
@@ -262,7 +265,7 @@ def _breath_predictions(breaths, end):
 def _reference_detection(predictions, interval_window, ci_level, trend_alpha):
     """run_detection with every statistic recomputed from the buffer on each tick."""
     quantile = t_quantile.__wrapped__
-    debouncer = Debouncer()
+    debouncer = Debouncer(CFG.confidence, CFG.run_length, CFG.refractory)
     series = IntervalSeries(capacity=interval_window)
     lag = WINDOW_SECONDS + 2 * 0.125
     armed = {"arrest": True, "trend": True}
@@ -324,7 +327,7 @@ def test_run_detection_matches_per_tick_reference(seed, mode, period, interval_w
     end = breaths[-1] + (40.0 if mode == "arrest" else 5.0)
     preds = _breath_predictions(breaths, end)
     kwargs = dict(interval_window=interval_window, ci_level=ci_level, trend_alpha=trend_alpha)
-    got = list(run_detection(iter(preds), **kwargs))
+    got = list(run_detection(iter(preds), RunConfig(**kwargs)))
     assert got == _reference_detection(preds, **kwargs)
     if mode == "arrest":
         assert any(isinstance(o, Alert) and o.kind == "arrest" for o in got)
