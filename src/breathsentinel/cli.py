@@ -21,7 +21,7 @@ from . import dsp
 from .autoencoder import train_ae
 from .config import SEED_ENV_VAR, RunConfig, load_config
 from .corpus import load_corpus, make_split
-from .errors import BreathSentinelError, ConfigError
+from .errors import BreathSentinelError, ConfigError, CorruptModel
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import evaluate, init_rnn, train_rnn
 from .stream import BreathEvent, infer_stream, match_events
@@ -167,14 +167,25 @@ def cmd_train_rnn(args) -> int:
     return EX_OK
 
 
+def _bundle_seed(path: str, raw: str) -> int:
+    """The training seed a bundle records; a non-negative decimal integer."""
+    try:
+        if raw.isascii() and raw.isdigit():
+            return int(raw)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise CorruptModel(f"{path}: metadata seed={raw!r} is not a non-negative integer")
+
+
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    bundle = load_model(_required_path(args, cfg, "model_path"))
-    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
+    model_path = _required_path(args, cfg, "model_path")
+    bundle = load_model(model_path)
     # the split the bundle was trained on, unless a seed is given explicitly
     seed = cfg.seed
-    if args.seed is None and SEED_ENV_VAR not in os.environ:
-        seed = int(bundle.metadata.get("seed", cfg.seed))
+    if args.seed is None and SEED_ENV_VAR not in os.environ and "seed" in bundle.metadata:
+        seed = _bundle_seed(model_path, bundle.metadata["seed"])
+    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
     rows = make_split(corpus, seed).test_rows
     metrics = evaluate(bundle.rnn, bundle.ae, corpus.samples[rows], corpus.labels[rows])
     print(f"clips,{len(rows)}")

@@ -6,7 +6,10 @@ unknown - are read from the final hidden state only. tanh keeps the
 recurrence bounded; sigmoid keeps confidences positive. Training is
 per-class binary cross-entropy against one-hot targets with backprop
 through time, per-clip Adagrad updates, and gradient clipping as a second
-guard against blow-ups.
+guard against blow-ups. Only the error passed back through the recurrence
+is stepped frame by frame; a window's input and recurrent weight gradients
+are then one matrix product each over its 16 steps, and the bias gradient
+one column sum.
 """
 
 from __future__ import annotations
@@ -142,7 +145,12 @@ def bce_loss(scores: np.ndarray, target: np.ndarray) -> float:
 
 def _backward_codes(params: RNNParams, codes: np.ndarray,
                     target: np.ndarray) -> tuple[dict[str, np.ndarray], float]:
-    """Exact BPTT gradients of the per-class BCE loss for one window."""
+    """Exact BPTT gradients of the per-class BCE loss for one window.
+
+    Only the error carried back through w_hh is sequential; the loop stores
+    each step's pre-activation error as a row of `draws`, and the weight
+    gradients, sums of outer products over time, are then one product each.
+    """
     h, scores = _forward_codes(params, codes)
     loss = bce_loss(scores, target)
     t_len = codes.shape[0]
@@ -150,19 +158,16 @@ def _backward_codes(params: RNNParams, codes: np.ndarray,
     dlogits = scores - target  # sigmoid + BCE
     g_w_hy = np.outer(h[t_len], dlogits)
     g_b_y = dlogits.copy()
-    g_w_xh = np.zeros_like(params.w_xh)
-    g_w_hh = np.zeros_like(params.w_hh)
-    g_b_h = np.zeros_like(params.b_h)
 
+    dact = 1.0 - h[1:] * h[1:]
+    draws = np.empty_like(dact)  # (t_len, hidden)
     dh = params.w_hy @ dlogits
     for t in range(t_len - 1, -1, -1):
-        draw = dh * (1.0 - h[t + 1] * h[t + 1])
-        g_b_h += draw
-        g_w_xh += np.outer(codes[t], draw)
-        g_w_hh += np.outer(h[t], draw)
-        dh = params.w_hh @ draw
+        np.multiply(dh, dact[t], out=draws[t])
+        dh = params.w_hh @ draws[t]
 
-    grads = {"w_xh": g_w_xh, "w_hh": g_w_hh, "b_h": g_b_h, "w_hy": g_w_hy, "b_y": g_b_y}
+    grads = {"w_xh": codes.T @ draws, "w_hh": h[:-1].T @ draws, "b_h": draws.sum(axis=0),
+             "w_hy": g_w_hy, "b_y": g_b_y}
     return grads, loss
 
 

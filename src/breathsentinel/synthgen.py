@@ -23,6 +23,7 @@ from .errors import IoError
 
 SCENARIO_KINDS = ("normal", "arrest", "decrement")
 MIN_PER_CLASS = 10  # fewest clips per class gen_corpus writes
+MAX_DURATION = 3600.0  # longest scenario in seconds: 29.5 M samples, 236 MB as float64
 
 # Burst shape ranges (seconds / Hz). Exhales decay slower and sit lower.
 # Widths stay under ~1.2 s so several consecutive 2 s windows can contain
@@ -52,8 +53,8 @@ class ScenarioSpec:
         for field in dataclasses.fields(self):
             if field.type == "float" and not math.isfinite(getattr(self, field.name)):
                 raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be > 0 s, got {self.duration}")
+        if not 0.0 < self.duration <= MAX_DURATION:
+            raise ValueError(f"duration must be in (0, {MAX_DURATION:g}] s, got {self.duration}")
         if self.base_period < 1.0:
             raise ValueError(f"base_period must be >= 1.0 s, got {self.base_period}")
         if not self.onset < self.duration:

@@ -8,10 +8,14 @@ worker's hooks and tracer in a fresh process, runs a short monitor and a
 one-epoch train-ae and a one-epoch train-rnn through them, and checks the
 per-layer counts. The train-rnn run also pins the training re-encode: its
 batched ``fft_radix2`` calls must reach the tracer, or ``dsp.frames`` and
-``rnn.reencode_share`` would miss them.
+``rnn.reencode_share`` would miss them. The span counts of ``rnn.bptt``
+(one per training clip) and ``autoencoder.backward_batch`` (one per
+compressor minibatch of 128 frames) pin what a train-desk tick is, so a
+change that batched clips or resized minibatches would show here.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -44,7 +48,10 @@ for op, argv in enumerate(json.loads(sys.argv[2])):
         assert worker.cli.main(argv) == 0, argv
     ops.append({"index": op, "name": argv[0], "wall": time.perf_counter() - started})
 metrics = worker.layer_metrics(tracer, ops, {"ae_epochs": 1})
-print(json.dumps({name: value for name, (value, _unit) in metrics.items()}))
+metrics = {name: value for name, (value, _unit) in metrics.items()}
+for name in ("rnn.bptt", "autoencoder.backward_batch"):
+    metrics["spans:" + name] = sum(1 for span in tracer.spans if span[0] == name)
+print(json.dumps(metrics))
 """
 
 
@@ -74,6 +81,9 @@ def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir, des
     assert metrics["rnn.windows"] == monitor_frames - 15
     assert metrics["stream.predictions"] == monitor_frames - 15
     assert metrics["vigil.ticks"] == monitor_frames - 15
+    # a train-desk tick is one classifier clip or one compressor minibatch
+    assert metrics["spans:rnn.bptt"] == len(plan.epoch_draw(0)[1])
+    assert metrics["spans:autoencoder.backward_batch"] == math.ceil(corpus_frames / 128)
     for name in ("dsp.fft_us_per_frame", "dsp.normalize_us_per_frame",
                  "autoencoder.encode_us_per_frame", "stream.self_us_per_frame",
                  "cli.input_us_per_frame", "autoencoder.epoch_s", "model_io.load_ms"):

@@ -80,6 +80,12 @@ OUT_OF_RANGE = {
     "jitter-sd": ["synth", "scenario", "--kind", "normal", "--jitter-sd", "-1"],
     "duration-inf": ["synth", "scenario", "--kind", "normal", "--duration", "inf"],
     "simulate-duration-inf": ["simulate", "--scenario", "normal", "--duration", "inf"],
+    "duration-huge": ["synth", "scenario", "--kind", "normal", "--duration", "1e12",
+                      "--onset", "5"],
+    "simulate-duration-huge": ["simulate", "--scenario", "normal", "--duration", "1e12",
+                               "--onset", "5"],
+    "duration-over-an-hour": ["synth", "scenario", "--kind", "normal", "--duration", "3601"],
+    "simulate-duration-over-an-hour": ["simulate", "--scenario", "normal", "--duration", "3601"],
     "jitter-sd-nan": ["synth", "scenario", "--kind", "normal", "--jitter-sd", "nan"],
     "simulate-jitter-sd-nan": ["simulate", "--scenario", "normal", "--jitter-sd", "nan"],
     "base-period-nan": ["synth", "scenario", "--kind", "normal", "--base-period", "nan"],
@@ -286,6 +292,18 @@ def test_eval_splits_with_the_resolved_seed(env, flag, expected, desk_corpus_dir
     argv = ["eval", "--model", str(model), "--corpus", str(desk_corpus_dir)]
     assert cli.main(argv + (["--seed", flag] if flag else [])) == 0
     assert seeds == [expected]
+
+
+@pytest.mark.parametrize("seed", ["abc", "-3"])
+def test_eval_rejects_a_malformed_bundle_seed(seed, desk_corpus_dir, tmp_path, capsys,
+                                              monkeypatch):
+    model = tmp_path / "bad_seed.bsm"
+    save_model(ModelBundle(ae=init_ae(0), rnn=init_rnn(0), metadata={"seed": seed}), model)
+    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+    assert cli.main(["eval", "--model", str(model), "--corpus", str(desk_corpus_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert str(model) in err[0] and repr(seed) in err[0]
 
 
 def test_train_ae_holds_one_sample_matrix(desk_corpus_dir, tmp_path, capsys):

@@ -180,6 +180,40 @@ def test_bptt_matches_finite_differences():
     assert err <= 1e-4
 
 
+def outer_product_bptt(params, codes, target):
+    """BPTT with the weight gradients summed as one outer product per step."""
+    h, scores = rnn._forward_codes(params, codes)
+    loss = rnn.bce_loss(scores, target)
+    dlogits = scores - target
+    grads = {"w_xh": np.zeros_like(params.w_xh), "w_hh": np.zeros_like(params.w_hh),
+             "b_h": np.zeros_like(params.b_h), "w_hy": np.outer(h[-1], dlogits),
+             "b_y": dlogits.copy()}
+    dh = params.w_hy @ dlogits
+    for t in range(codes.shape[0] - 1, -1, -1):
+        draw = dh * (1.0 - h[t + 1] * h[t + 1])
+        grads["b_h"] += draw
+        grads["w_xh"] += np.outer(codes[t], draw)
+        grads["w_hh"] += np.outer(h[t], draw)
+        dh = params.w_hh @ draw
+    return grads, loss
+
+
+@pytest.mark.parametrize("hidden", [50, 75, 100])
+def test_bptt_matches_the_outer_product_oracle(hidden):
+    rng = np.random.default_rng(hidden)
+    for i in range(12):
+        params = rnn.init_rnn(hidden + i, hidden)
+        codes = rng.uniform(-1.0, 1.0, (16, 50))
+        target = rnn.one_hot(i % 3)
+        grads, loss = rnn._backward_codes(params, codes, target)
+        expected, expected_loss = outer_product_bptt(params, codes, target)
+        assert loss == expected_loss, i
+        assert grads.keys() == expected.keys()
+        for name, g in expected.items():
+            assert grads[name].shape == g.shape, name
+            assert np.max(np.abs(grads[name] - g)) <= 1e-13, (i, name)
+
+
 def test_recurrent_gradient_nonzero_for_time_varying_input():
     params = rnn.init_rnn(11)
     codes = np.random.default_rng(12).uniform(-0.9, 0.9, (16, 50))

@@ -112,6 +112,7 @@ def test_spec_validation():
     {"onset": -math.inf},
     {"onset": -10.0, "duration": -5.0},
     {"onset": -10.0, "duration": 0.0},
+    {"duration": 3601.0},
 ], ids=repr)
 def test_spec_rejects_non_finite_and_empty_scenarios(fields):
     with pytest.raises(ValueError):
