@@ -20,7 +20,7 @@ import numpy as np
 from . import dsp
 from .autoencoder import train_ae
 from .config import SEED_ENV_VAR, RunConfig, load_config
-from .corpus import load_corpus, make_split
+from .corpus import CLIP_BLOCK, load_corpus, make_split, scan_corpus
 from .errors import BreathSentinelError, ConfigError, CorruptModel
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import evaluate, init_rnn, train_rnn
@@ -119,7 +119,12 @@ def cmd_train_ae(args) -> int:
     corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
     for err in corpus.load_errors:
         print(f"skipped,{err}", file=sys.stderr)
-    spectra = dsp.spectra(corpus.samples.reshape(-1, dsp.FRAME_LEN))
+    spectra = np.empty((len(corpus), dsp.CLIP_SAMPLES // dsp.FRAME_LEN, dsp.SPECTRUM_BINS))
+    for start in range(0, len(corpus), CLIP_BLOCK):
+        block = corpus.clips(slice(start, start + CLIP_BLOCK))
+        spectra[start:start + CLIP_BLOCK] = dsp.spectra(
+            block.reshape(len(block), -1, dsp.FRAME_LEN))
+    spectra = spectra.reshape(-1, dsp.SPECTRUM_BINS)
     ae_params, trace = train_ae(spectra, cfg)
     bundle = ModelBundle(
         ae=ae_params,
@@ -185,9 +190,10 @@ def cmd_eval(args) -> int:
     seed = cfg.seed
     if args.seed is None and SEED_ENV_VAR not in os.environ and "seed" in bundle.metadata:
         seed = _bundle_seed(model_path, bundle.metadata["seed"])
-    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
-    rows = make_split(corpus, seed).test_rows
-    metrics = evaluate(bundle.rnn, bundle.ae, corpus.samples[rows], corpus.labels[rows])
+    # split on the validated file list, then decode only the test clips
+    files = scan_corpus(_required_path(args, cfg, "corpus_dir"))
+    rows = make_split(files, seed).test_rows
+    metrics = evaluate(bundle.rnn, bundle.ae, files.read_pcm(rows), files.labels[rows])
     print(f"clips,{len(rows)}")
     print(f"accuracy,{metrics.accuracy:.6f}")
     for label in dsp.LABELS:

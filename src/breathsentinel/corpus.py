@@ -27,15 +27,22 @@ TRAIN_FRACTION = 5
 MIN_CORPUS_SIZE = 400
 
 
+# Clips converted to float64 at a time: 16 clips are 256 frames, one
+# dsp.spectra block, so a block's frames are transformed in one FFT call.
+CLIP_BLOCK = dsp.SPECTRA_BLOCK * dsp.FRAME_LEN // dsp.CLIP_SAMPLES
+
+
 @dataclass
 class Corpus:
-    """Clips as one sample matrix, plus any per-file load errors.
+    """Clips as one 16-bit PCM matrix, plus any per-file load errors.
 
-    Row i of `samples` is one 2-second clip, `labels[i]` its class index
-    into dsp.LABELS and `ids[i]` its relative path.
+    Row i of `pcm` is one 2-second clip exactly as stored in its WAV file,
+    `labels[i]` its class index into dsp.LABELS and `ids[i]` its relative
+    path. `clips(rows)` gives rows as float64 samples, scaled as
+    dsp.load_wav scales them; callers convert a bounded block at a time.
     """
 
-    samples: np.ndarray  # (n, 16384) float64
+    pcm: np.ndarray      # (n, 16384) int16
     labels: np.ndarray   # (n,) class indices
     ids: tuple[str, ...]
     load_errors: list[str] = field(default_factory=list)
@@ -47,49 +54,90 @@ class Corpus:
         counts = np.bincount(self.labels, minlength=len(dsp.LABELS))
         return dict(zip(dsp.LABELS, counts.tolist()))
 
+    def clips(self, rows) -> np.ndarray:
+        """The clips at `rows` (an index, slice or index array) as float64 samples."""
+        return dsp.pcm_samples(self.pcm[rows])
+
     def fingerprint(self) -> str:
-        """sha256 over clip IDs and sample data, stable across machines."""
+        """sha256 over clip IDs and float64 sample data, stable across machines."""
         digest = hashlib.sha256()
         for row in np.argsort(self.ids):
             digest.update(self.ids[row].encode("utf-8"))
             digest.update(b"\0")
-            digest.update(self.samples[row].tobytes())
+            digest.update(self.clips(row).tobytes())
         return digest.hexdigest()
 
 
-def load_corpus(root) -> Corpus:
-    """Load and validate every WAV under root/{inhale,exhale,unknown}/.
+@dataclass(frozen=True)
+class ClipFiles:
+    """The usable clip files of a corpus directory, validated but not decoded.
 
-    Clips fill the rows of one matrix, allocated once for every globbed
-    path, in class then file-name order. Bad files do not abort the load;
-    their errors are collected on the returned corpus with their paths. A
-    class with no usable clip at all raises EmptyClass.
+    Same rows, labels, ids and load errors as the Corpus that load_corpus
+    builds from them; `read_pcm` decodes only the rows asked for.
+    """
+
+    paths: tuple[Path, ...]
+    labels: np.ndarray
+    ids: tuple[str, ...]
+    load_errors: list[str]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def read_pcm(self, rows) -> np.ndarray:
+        """(len(rows), 16384) int16 matrix of the clips at `rows`, read from disk."""
+        pcm = np.empty((len(rows), dsp.CLIP_SAMPLES), dtype=np.int16)
+        for out, row in zip(pcm, rows):
+            path = self.paths[row]
+            clip = dsp.read_pcm(path)
+            _check_length(path, clip.size)
+            out[:] = clip
+        return pcm
+
+
+def _check_length(path, count: int) -> None:
+    if count != dsp.CLIP_SAMPLES:
+        raise BreathSentinelError(f"{path}: expected {dsp.CLIP_SAMPLES} samples (2 s), got {count}")
+
+
+def scan_corpus(root) -> ClipFiles:
+    """Validate every WAV under root/{inhale,exhale,unknown}/ by header and sample count.
+
+    No samples are decoded. Files are taken in class then file-name
+    order. Bad files do not abort the scan; their errors are collected
+    with their paths. A class with no usable clip at all raises
+    EmptyClass.
     """
     root = Path(root)
-    paths = [(index, path) for index, label in enumerate(dsp.LABELS)
-             for path in sorted((root / label).glob("*.wav"))]
-    samples = np.empty((len(paths), dsp.CLIP_SAMPLES))
-    rows: list[tuple[int, str]] = []
+    kept: list[tuple[int, Path]] = []
     errors: list[str] = []
-    for index, path in paths:
-        try:
-            clip = dsp.load_wav(path)
-            if clip.samples.size != dsp.CLIP_SAMPLES:
-                raise BreathSentinelError(
-                    f"{path}: expected {dsp.CLIP_SAMPLES} samples (2 s), got {clip.samples.size}"
-                )
-        except BreathSentinelError as exc:
-            errors.append(str(exc))
-            continue
-        samples[len(rows)] = clip.samples
-        rows.append((index, f"{dsp.LABELS[index]}/{path.name}"))
-    corpus = Corpus(samples=samples[:len(rows)],
-                    labels=np.array([index for index, _ in rows], dtype=np.intp),
-                    ids=tuple(clip_id for _, clip_id in rows), load_errors=errors)
-    for label, count in corpus.class_counts().items():
+    for index, label in enumerate(dsp.LABELS):
+        for path in sorted((root / label).glob("*.wav")):
+            try:
+                _check_length(path, dsp.wav_sample_count(path))
+            except BreathSentinelError as exc:
+                errors.append(str(exc))
+                continue
+            kept.append((index, path))
+    labels = np.array([index for index, _ in kept], dtype=np.intp)
+    for index, count in enumerate(np.bincount(labels, minlength=len(dsp.LABELS))):
         if count == 0:
+            label = dsp.LABELS[index]
             raise EmptyClass(f"no usable clips for class '{label}' under {root / label}")
-    return corpus
+    return ClipFiles(paths=tuple(path for _, path in kept), labels=labels,
+                     ids=tuple(f"{dsp.LABELS[index]}/{path.name}" for index, path in kept),
+                     load_errors=errors)
+
+
+def load_corpus(root) -> Corpus:
+    """Scan a corpus directory (see scan_corpus) and read every usable clip.
+
+    The clips fill the rows of one int16 matrix, in class then file-name
+    order.
+    """
+    files = scan_corpus(root)
+    return Corpus(pcm=files.read_pcm(range(len(files))), labels=files.labels,
+                  ids=files.ids, load_errors=files.load_errors)
 
 
 @dataclass(frozen=True)
@@ -118,10 +166,11 @@ class SplitPlan:
         return val, train
 
 
-def make_split(corpus: Corpus, seed: int) -> SplitPlan:
+def make_split(corpus: Corpus | ClipFiles, seed: int) -> SplitPlan:
     """Deterministic split plan for a corpus of at least 400 clips.
 
-    Draws are made over the rows in clip ID order, not load order.
+    Draws are made over the rows in clip ID order, not load order; only
+    the IDs are read, so a scanned corpus splits as its loaded one does.
     """
     n = len(corpus)
     if n < MIN_CORPUS_SIZE:

@@ -103,12 +103,28 @@ def _wav_data(f, path) -> int:
     return size - size % 2
 
 
-def load_wav(path) -> AudioClip:
-    """Read a whole WAV file; sample values are scaled by 1/32768 into [-1, 1]."""
+def wav_sample_count(path) -> int:
+    """Number of samples in a WAV file's 'data' chunk; validates the header, decodes nothing."""
     path = Path(path)
     with path.open("rb") as f:
-        raw = np.frombuffer(f.read(_wav_data(f, path)), dtype="<i2")
-    return AudioClip(samples=raw.astype(np.float64) / 32768.0)
+        return _wav_data(f, path) // 2
+
+
+def read_pcm(path) -> np.ndarray:
+    """A whole WAV file's samples as 16-bit PCM, exactly as stored."""
+    path = Path(path)
+    with path.open("rb") as f:
+        return np.frombuffer(f.read(_wav_data(f, path)), dtype="<i2")
+
+
+def pcm_samples(pcm: np.ndarray) -> np.ndarray:
+    """16-bit PCM values as float64 samples in [-1, 1]: value / 32768."""
+    return pcm.astype(np.float64) / 32768.0
+
+
+def load_wav(path) -> AudioClip:
+    """Read a whole WAV file; sample values are scaled by 1/32768 into [-1, 1]."""
+    return AudioClip(samples=pcm_samples(read_pcm(path)))
 
 
 def pcm_frames(stream, n_bytes: float = math.inf) -> Iterator[np.ndarray]:
@@ -129,7 +145,7 @@ def pcm_frames(stream, n_bytes: float = math.inf) -> Iterator[np.ndarray]:
 def _pcm_frames(stream, chunk: bytes, n_bytes: float) -> Iterator[np.ndarray]:
     frame_bytes = 2 * FRAME_LEN
     while len(chunk) == frame_bytes:
-        yield np.frombuffer(chunk, dtype="<i2").astype(np.float64) / 32768.0
+        yield pcm_samples(np.frombuffer(chunk, dtype="<i2"))
         if n_bytes < frame_bytes:
             return
         n_bytes -= frame_bytes

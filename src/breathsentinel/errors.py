@@ -38,7 +38,7 @@ class NonFiniteActivation(BreathSentinelError):
 
 
 class DivergedLoss(BreathSentinelError):
-    """Training loss became non-finite."""
+    """Training diverged: its loss became non-finite, or its weights overflow float32."""
 
 
 # --- corpus ---

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autoencoder, rnn
 from .dsp import FRAME_LEN, SPECTRUM_BINS
-from .errors import BadMagic, CorruptModel, TruncatedFile, VersionMismatch
+from .errors import BadMagic, CorruptModel, DivergedLoss, TruncatedFile, VersionMismatch
 
 MAGIC = b"BSM1"
 FORMAT_VERSION = 2
@@ -59,12 +59,23 @@ class ModelBundle:
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    """Serialize a bundle; bit-identical for identical contents."""
+    """Serialize a bundle; bit-identical for identical contents.
+
+    A tensor with a value outside the float32 range (training that ran
+    away, as with a huge learning rate) raises DivergedLoss before any
+    byte is written, since load_model would reject the file.
+    """
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<I", FORMAT_VERSION)
     for name in TENSOR_ORDER:
-        arr = np.ascontiguousarray(bundle.tensor(name), dtype="<f4")
+        with np.errstate(over="ignore"):
+            arr = np.ascontiguousarray(bundle.tensor(name), dtype="<f4")
+        if not np.isfinite(arr).all():
+            largest = float(np.max(np.abs(bundle.tensor(name))))
+            raise DivergedLoss(f"{path}: not written: tensor {name} has a value of magnitude "
+                               f"{largest:.3g}, outside the float32 range; training diverged "
+                               f"(try a smaller learning rate)")
         buf += struct.pack("<I", arr.ndim)
         for dim in arr.shape:
             buf += struct.pack("<I", dim)

@@ -193,11 +193,22 @@ class EvalMetrics:
     confusion: np.ndarray  # (3, 3), rows = truth, cols = prediction
 
 
-def _encode_samples(ae: AEParams, samples_matrix: np.ndarray) -> np.ndarray:
-    """(n_clips, 16384) samples -> (n_clips, 16, 50) latent code sequences."""
-    n = samples_matrix.shape[0]
-    frames = samples_matrix.reshape(n * WINDOW_FRAMES, dsp.FRAME_LEN)
-    return encode_batch(ae, dsp.spectra(frames)).reshape(n, WINDOW_FRAMES, INPUT_DIM)
+def _encode_samples(ae: AEParams, clips: np.ndarray) -> np.ndarray:
+    """(n_clips, 16384) clips -> (n_clips, 16, 50) latent code sequences.
+
+    Clips go through the front end corpus.CLIP_BLOCK at a time. int16
+    rows are 16-bit PCM and are scaled to float64 one block at a time, as
+    dsp.load_wav scales them; float rows are samples already.
+    """
+    codes = np.empty((len(clips), WINDOW_FRAMES, INPUT_DIM))
+    for start in range(0, len(clips), corpus_mod.CLIP_BLOCK):
+        block = clips[start:start + corpus_mod.CLIP_BLOCK]
+        if block.dtype == np.int16:
+            block = dsp.pcm_samples(block)
+        spectra = dsp.spectra(block.reshape(-1, dsp.FRAME_LEN))
+        codes[start:start + corpus_mod.CLIP_BLOCK] = encode_batch(ae, spectra).reshape(
+            -1, WINDOW_FRAMES, INPUT_DIM)
+    return codes
 
 
 def _metrics_from_predictions(labels: np.ndarray, predicted: np.ndarray) -> EvalMetrics:
@@ -216,7 +227,8 @@ def evaluate(params: RNNParams, ae: AEParams, samples: np.ndarray,
              labels: np.ndarray) -> EvalMetrics:
     """Accuracy, per-class and macro F1, and the 3x3 confusion matrix.
 
-    `samples` is (n, 16384), one clip per row; `labels` their class indices.
+    `samples` is (n, 16384), one clip per row, as float64 samples or as
+    int16 PCM; `labels` their class indices.
     """
     if len(samples) == 0:
         raise EmptyEvalSet("no clips to evaluate")
@@ -243,25 +255,29 @@ def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
     state = AdagradState.for_params(tensors, cfg.rnn_learning_rate)
     aug_rng = np.random.default_rng([cfg.seed, 0x5EED])
 
-    # Unaugmented latent codes for the pool, computed once and indexed by
-    # corpus row: validation clips are never augmented, so their codes are
-    # fixed for a frozen encoder.
-    pool_codes = _encode_samples(ae, corpus.samples[plan.pool_rows])
-    codes = np.empty((len(corpus),) + pool_codes.shape[1:])
-    codes[plan.pool_rows] = pool_codes
-    del pool_codes
+    # Unaugmented latent codes by corpus row, encoded the first time an
+    # epoch reads the row and kept: unaugmented clips have fixed codes for
+    # a frozen encoder. With augmentation on, only validation rows are read.
+    codes = np.empty((len(corpus), WINDOW_FRAMES, INPUT_DIM))
+    encoded = np.zeros(len(corpus), dtype=bool)
 
     trace: list[EpochMetrics] = []
     for epoch in range(cfg.rnn_epochs):
         val_rows, train_rows = plan.epoch_draw(epoch)
 
+        reads = val_rows if cfg.noise_aug else np.concatenate([train_rows, val_rows])
+        new = reads[~encoded[reads]]
+        codes[new] = _encode_samples(ae, corpus.pcm[new])
+        encoded[new] = True
+
         if cfg.noise_aug:
             seeds = aug_rng.integers(0, 2**63, size=len(train_rows))
-            samples = np.stack([
-                corpus_mod.augment_noise(corpus.samples[row], int(s))
-                for row, s in zip(train_rows, seeds)
-            ])
-            code_seqs = _encode_samples(ae, samples)
+            code_seqs = np.empty((len(train_rows), WINDOW_FRAMES, INPUT_DIM))
+            for start in range(0, len(train_rows), corpus_mod.CLIP_BLOCK):
+                block = corpus.clips(train_rows[start:start + corpus_mod.CLIP_BLOCK])
+                for clip, clip_seed in zip(block, seeds[start:start + corpus_mod.CLIP_BLOCK]):
+                    clip[:] = corpus_mod.augment_noise(clip, int(clip_seed))
+                code_seqs[start:start + corpus_mod.CLIP_BLOCK] = _encode_samples(ae, block)
         else:
             code_seqs = codes[train_rows]
 

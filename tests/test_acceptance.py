@@ -69,14 +69,14 @@ def desk_model(tmp_path_factory) -> DeskModel:
     with threadpool_limits(1):
         gen_corpus(150, seed=DESK_SEED, out_dir=corpus_dir)
         corpus = load_corpus(corpus_dir)
-        spectra = dsp.spectra(corpus.samples.reshape(-1, dsp.FRAME_LEN))
+        spectra = dsp.spectra(corpus.clips(slice(None)).reshape(-1, dsp.FRAME_LEN))
         cfg = RunConfig(seed=DESK_SEED, ae_epochs=200, ae_batch=128, rnn_epochs=300)
         ae_params, _ = ae_mod.train_ae(spectra, cfg)
         rnn_params, _ = rnn_mod.train_rnn(corpus, ae_params, cfg)
     elapsed = time.perf_counter() - started
 
     rows = make_split(corpus, DESK_SEED).test_rows
-    metrics = rnn_mod.evaluate(rnn_params, ae_params, corpus.samples[rows], corpus.labels[rows])
+    metrics = rnn_mod.evaluate(rnn_params, ae_params, corpus.clips(rows), corpus.labels[rows])
     bundle_path = root / "desk.bsm"
     save_model(ModelBundle(ae=ae_params, rnn=rnn_params,
                            metadata={"seed": str(DESK_SEED)}), bundle_path)
@@ -159,7 +159,7 @@ def test_criterion_3_discrete_classification(desk_model):
 
 def test_compressor_reconstruction_on_held_out_frames(desk_model):
     rows = make_split(desk_model.corpus, DESK_SEED).test_rows
-    frames = desk_model.corpus.samples[rows]
+    frames = desk_model.corpus.clips(rows)
     spectra = dsp.spectra(frames.reshape(-1, dsp.FRAME_LEN))
     mse = ae_mod.batch_mse(desk_model.ae, spectra)
     report("compressor held-out mse", mse <= 0.01,

@@ -73,9 +73,11 @@ def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir, des
     metrics = json.loads(done.stdout.splitlines()[-1])
 
     monitor_frames, corpus_frames = 24, 3 * 140 * 16
-    # train-rnn encodes the pool once, then the epoch's noise-augmented clips
+    # train-rnn encodes the rows the epoch reads unaugmented (its validation
+    # clips), then the epoch's noise-augmented training clips
     plan = make_split(desk_corpus, 1)
-    reencode_frames = 16 * (len(plan.pool_rows) + len(plan.epoch_draw(0)[1]))
+    val_rows, train_rows = plan.epoch_draw(0)
+    reencode_frames = 16 * (len(val_rows) + len(train_rows))
     assert metrics["dsp.frames"] == monitor_frames + corpus_frames + reencode_frames
     assert metrics["rnn.reencode_share"] > 0
     assert metrics["rnn.windows"] == monitor_frames - 15

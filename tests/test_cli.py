@@ -308,7 +308,7 @@ def test_eval_rejects_a_malformed_bundle_seed(seed, desk_corpus_dir, tmp_path, c
 
 def test_train_ae_holds_one_sample_matrix(desk_corpus_dir, tmp_path, capsys):
     clips = 3 * 140
-    sample_matrix = clips * dsp.CLIP_SAMPLES * 8
+    sample_matrix = clips * dsp.CLIP_SAMPLES * 2  # int16 PCM
     spectra = clips * 16 * dsp.SPECTRUM_BINS * 8
     tracemalloc.start()
     try:
@@ -318,6 +318,72 @@ def test_train_ae_holds_one_sample_matrix(desk_corpus_dir, tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < sample_matrix + spectra + 24 * 2**20, peak
+
+
+def _peak_bytes(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_rnn_holds_the_pcm_matrix_and_codes(desk_corpus_dir, untrained_model, tmp_path,
+                                                  capsys):
+    clips = 3 * 140
+    pcm_matrix = clips * dsp.CLIP_SAMPLES * 2
+    codes = clips * 16 * 50 * 8
+    peak = _peak_bytes(["train-rnn", "--corpus", str(desk_corpus_dir), "--model",
+                        str(untrained_model), "--out", str(tmp_path / "rnn.bsm"), "--epochs", "2"])
+    assert peak < pcm_matrix + codes + 24 * 2**20, peak
+
+
+def test_eval_decodes_only_the_test_clips(desk_corpus_dir, desk_corpus, untrained_model,
+                                          monkeypatch, capsys):
+    read = []
+    read_pcm = dsp.read_pcm
+
+    def recording(path):
+        read.append(path.relative_to(desk_corpus_dir).as_posix())
+        return read_pcm(path)
+
+    monkeypatch.setattr(dsp, "read_pcm", recording)
+    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+    argv = ["eval", "--model", str(untrained_model), "--corpus", str(desk_corpus_dir)]
+    assert cli.main(argv) == 0
+    test_rows = make_split(desk_corpus, 0).test_rows
+    assert sorted(read) == sorted(desk_corpus.ids[row] for row in test_rows)
+
+
+def test_eval_memory_does_not_grow_with_the_corpus(desk_corpus_dir, untrained_model, tmp_path,
+                                                   capsys):
+    large = tmp_path / "four_times"
+    for label in dsp.LABELS:
+        (large / label).mkdir(parents=True)
+        for path in (desk_corpus_dir / label).glob("*.wav"):
+            for copy in range(4):
+                (large / label / f"{path.stem}_{copy}.wav").symlink_to(path)
+    peaks = [_peak_bytes(["eval", "--model", str(untrained_model), "--corpus", str(root)])
+             for root in (desk_corpus_dir, large)]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("clips,")] == ["clips,14", "clips,56"]
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("command", ["train-ae", "train-rnn"])
+def test_a_diverging_learning_rate_exits_one_without_writing(command, desk_corpus_dir,
+                                                            untrained_model, tmp_path, capsys):
+    out = tmp_path / "diverged.bsm"
+    argv = [command, "--corpus", str(desk_corpus_dir), "--out", str(out), "--epochs", "1",
+            "--lr", "1e300"]
+    if command == "train-rnn":
+        argv += ["--model", str(untrained_model)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "float32" in err[0] and str(out) in err[0]
+    assert not out.exists()
 
 
 def test_monitor_runs_on_wav(untrained_model, tmp_path, capsys):

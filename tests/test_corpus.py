@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from breathsentinel import dsp, gen_corpus
-from breathsentinel.corpus import Corpus, augment_noise, load_corpus, make_split
+from breathsentinel.corpus import Corpus, augment_noise, load_corpus, make_split, scan_corpus
 from breathsentinel.errors import CorpusTooSmall, EmptyClass
 
 
@@ -17,8 +18,8 @@ def in_memory_corpus(n_total, ids=None):
     labels = np.arange(n_total) % 3
     if ids is None:
         ids = tuple(f"{dsp.LABELS[k]}/c{i:05d}.wav" for i, k in enumerate(labels))
-    samples = np.broadcast_to(np.zeros(dsp.CLIP_SAMPLES), (n_total, dsp.CLIP_SAMPLES))
-    return Corpus(samples=samples, labels=labels, ids=ids)
+    pcm = np.broadcast_to(np.zeros(dsp.CLIP_SAMPLES, dtype=np.int16), (n_total, dsp.CLIP_SAMPLES))
+    return Corpus(pcm=pcm, labels=labels, ids=ids)
 
 
 def id_split(ids, seed, epochs):
@@ -55,9 +56,9 @@ def test_corrupt_file_is_reported_not_fatal(tmp_path):
     assert len(corpus) == 29
     assert len(corpus.load_errors) == 1
     assert "inhale_0003" in corpus.load_errors[0]
-    assert corpus.samples.shape == (29, dsp.CLIP_SAMPLES)
+    assert corpus.pcm.shape == (29, dsp.CLIP_SAMPLES)
     assert corpus.ids[3] == "inhale/inhale_0004.wav"
-    assert np.array_equal(corpus.samples[3],
+    assert np.array_equal(corpus.clips(3),
                           dsp.load_wav(tmp_path / "inhale" / "inhale_0004.wav").samples)
 
 
@@ -68,7 +69,36 @@ def test_rows_follow_class_then_file_order(tmp_path):
                                for label in dsp.LABELS for i in range(10))
     assert corpus.labels.tolist() == [0] * 10 + [1] * 10 + [2] * 10
     for row in (0, 13, 29):
-        assert np.array_equal(corpus.samples[row], dsp.load_wav(tmp_path / corpus.ids[row]).samples)
+        assert np.array_equal(corpus.clips(row), dsp.load_wav(tmp_path / corpus.ids[row]).samples)
+
+
+def test_every_row_is_the_wav_data_and_converts_bit_equal_to_load_wav(desk_corpus,
+                                                                      desk_corpus_dir):
+    assert desk_corpus.pcm.dtype == np.int16
+    for row, clip_id in enumerate(desk_corpus.ids):
+        samples = dsp.load_wav(desk_corpus_dir / clip_id).samples
+        assert np.array_equal(desk_corpus.clips(row), samples), clip_id
+        assert desk_corpus.clips(row).tobytes() == samples.tobytes(), clip_id
+
+
+def test_fingerprint_hashes_the_float64_samples_in_id_order(desk_corpus, desk_corpus_dir):
+    digest = hashlib.sha256()
+    for clip_id in sorted(desk_corpus.ids):
+        digest.update(clip_id.encode("utf-8") + b"\0")
+        digest.update(dsp.load_wav(desk_corpus_dir / clip_id).samples.tobytes())
+    assert desk_corpus.fingerprint() == digest.hexdigest()
+
+
+def test_scan_keeps_the_rows_and_errors_of_a_load_and_decodes_on_request(tmp_path):
+    gen_corpus(10, seed=4, out_dir=tmp_path)
+    (tmp_path / "inhale" / "inhale_0003.wav").write_bytes(b"JUNKJUNKJUNKJUNK")
+    dsp.write_wav(tmp_path / "exhale" / "exhale_0001.wav", np.zeros(1024))
+    files, corpus = scan_corpus(tmp_path), load_corpus(tmp_path)
+    assert files.ids == corpus.ids and len(files) == len(corpus) == 28
+    assert np.array_equal(files.labels, corpus.labels)
+    assert files.load_errors == corpus.load_errors and len(files.load_errors) == 2
+    rows = np.array([27, 0, 13])
+    assert np.array_equal(files.read_pcm(rows), corpus.pcm[rows])
 
 
 def test_wrong_length_clip_is_reported(tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 
 from breathsentinel import dsp
 from breathsentinel.autoencoder import encode_batch, init_ae
-from breathsentinel.errors import BadMagic, CorruptModel, TruncatedFile, VersionMismatch
+from breathsentinel.errors import (
+    BadMagic,
+    CorruptModel,
+    DivergedLoss,
+    TruncatedFile,
+    VersionMismatch,
+)
 from breathsentinel.model_io import (
     FORMAT_VERSION,
     MAGIC,
@@ -217,3 +224,15 @@ def test_identical_bundles_serialize_identically(bundle, tmp_path):
     save_model(ModelBundle(ae=init_ae(5), rnn=init_rnn(5),
                            metadata={"seed": "5", "rnn_epochs": "0"}), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name, value", [("ae.enc_w1", 1e300), ("rnn.b_y", -4e38)])
+def test_save_rejects_a_tensor_outside_float32_before_writing(bundle, tmp_path, name, value):
+    path = tmp_path / "m.bsm"
+    path.write_bytes(b"previous")
+    bundle.tensor(name).flat[0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning must not escape
+        with pytest.raises(DivergedLoss, match=name):
+            save_model(bundle, path)
+    assert path.read_bytes() == b"previous"

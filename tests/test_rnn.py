@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from breathsentinel import dsp, rnn
 from breathsentinel.autoencoder import init_ae
 from breathsentinel.config import RunConfig
+from breathsentinel.corpus import make_split
 from breathsentinel.errors import EmptyEvalSet
 from breathsentinel.optim import grad_check
 
@@ -281,3 +283,43 @@ def test_short_training_is_deterministic(desk_corpus):
     assert t1 == t2
     for name in rnn.TENSOR_NAMES:
         assert np.array_equal(getattr(p1, name), getattr(p2, name))
+
+
+def test_int16_pcm_encodes_as_its_float64_samples():
+    rng = np.random.default_rng(4)
+    pcm = rng.integers(-2**15, 2**15, (20, dsp.CLIP_SAMPLES), dtype=np.int16)
+    ae = init_ae(1)
+    codes = rnn._encode_samples(ae, pcm)
+    assert np.array_equal(codes, rnn._encode_samples(ae, dsp.pcm_samples(pcm)))
+
+
+@pytest.mark.parametrize("noise_aug", [True, False])
+def test_training_encodes_each_pool_row_once_and_only_rows_it_reads(desk_corpus, monkeypatch,
+                                                                   noise_aug):
+    def key(samples):
+        return hashlib.sha256(samples.tobytes()).digest()
+
+    row_of = {key(desk_corpus.clips(row)): row for row in range(len(desk_corpus))}
+    assert len(row_of) == len(desk_corpus)
+    encoded, augmented = [], []
+    encode = rnn._encode_samples
+
+    def recording(ae, clips):
+        samples = dsp.pcm_samples(clips) if clips.dtype == np.int16 else clips
+        for clip in samples:
+            row = row_of.get(key(clip))
+            (augmented if row is None else encoded).append(row)
+        return encode(ae, clips)
+
+    monkeypatch.setattr(rnn, "_encode_samples", recording)
+    epochs = 3
+    cfg = RunConfig(seed=5, rnn_epochs=epochs, noise_aug=noise_aug)
+    rnn.train_rnn(desk_corpus, init_ae(0), cfg)
+
+    draws = [make_split(desk_corpus, 5).epoch_draw(epoch) for epoch in range(epochs)]
+    read = set()
+    for val, train in draws:
+        read |= set(val.tolist()) | (set() if noise_aug else set(train.tolist()))
+    assert len(encoded) == len(set(encoded)), "a pool row was encoded twice"
+    assert set(encoded) == read
+    assert len(augmented) == (sum(len(train) for _, train in draws) if noise_aug else 0)
