@@ -20,7 +20,7 @@ import numpy as np
 from . import dsp
 from .autoencoder import train_ae
 from .config import SEED_ENV_VAR, RunConfig, load_config
-from .corpus import CLIP_BLOCK, load_corpus, make_split, scan_corpus
+from .corpus import Corpus, load_corpus, make_split
 from .errors import BreathSentinelError, ConfigError, CorruptModel
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import evaluate, init_rnn, train_rnn
@@ -67,6 +67,24 @@ def _required_path(args, cfg: RunConfig, field: str) -> str:
               f"(or set {field} in the config file)", file=sys.stderr)
         raise SystemExit(EX_USAGE)
     return value
+
+
+def _load_corpus(args, cfg: RunConfig) -> Corpus:
+    """The resolved corpus, with one `skipped,<error>` stderr line per unusable file."""
+    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
+    for err in corpus.load_errors:
+        print(f"skipped,{err}", file=sys.stderr)
+    return corpus
+
+
+def _load_detector(args, cfg: RunConfig) -> ModelBundle:
+    """The bundle monitor and simulate run; warns when its classifier never trained."""
+    path = _required_path(args, cfg, "model_path")
+    bundle = load_model(path)
+    if bundle.metadata.get("rnn_epochs") == "0":
+        print(f"warning: {path}: the classifier is untrained (rnn_epochs=0); "
+              f"train it with train-rnn first", file=sys.stderr)
+    return bundle
 
 
 def _format_line(item) -> str:
@@ -116,13 +134,10 @@ def _scenario_spec(args, cfg: RunConfig) -> ScenarioSpec:
 
 def cmd_train_ae(args) -> int:
     cfg = _resolve_config(args)
-    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
-    for err in corpus.load_errors:
-        print(f"skipped,{err}", file=sys.stderr)
+    corpus = _load_corpus(args, cfg)
     spectra = np.empty((len(corpus), dsp.CLIP_SAMPLES // dsp.FRAME_LEN, dsp.SPECTRUM_BINS))
-    for start in range(0, len(corpus), CLIP_BLOCK):
-        block = corpus.clips(slice(start, start + CLIP_BLOCK))
-        spectra[start:start + CLIP_BLOCK] = dsp.spectra(
+    for start, block in corpus.blocks(range(len(corpus))):
+        spectra[start:start + len(block)] = dsp.spectra(
             block.reshape(len(block), -1, dsp.FRAME_LEN))
     spectra = spectra.reshape(-1, dsp.SPECTRUM_BINS)
     ae_params, trace = train_ae(spectra, cfg)
@@ -149,7 +164,7 @@ def cmd_train_ae(args) -> int:
 
 def cmd_train_rnn(args) -> int:
     cfg = _resolve_config(args)
-    corpus = load_corpus(_required_path(args, cfg, "corpus_dir"))
+    corpus = _load_corpus(args, cfg)
     bundle = load_model(_required_path(args, cfg, "model_path"))
     rnn_params, trace = train_rnn(corpus, bundle.ae, cfg)
     metadata = dict(bundle.metadata)
@@ -190,10 +205,9 @@ def cmd_eval(args) -> int:
     seed = cfg.seed
     if args.seed is None and SEED_ENV_VAR not in os.environ and "seed" in bundle.metadata:
         seed = _bundle_seed(model_path, bundle.metadata["seed"])
-    # split on the validated file list, then decode only the test clips
-    files = scan_corpus(_required_path(args, cfg, "corpus_dir"))
-    rows = make_split(files, seed).test_rows
-    metrics = evaluate(bundle.rnn, bundle.ae, files.read_pcm(rows), files.labels[rows])
+    corpus = _load_corpus(args, cfg)
+    rows = make_split(corpus, seed).test_rows
+    metrics = evaluate(bundle.rnn, bundle.ae, corpus.read_pcm(rows), corpus.labels[rows])
     print(f"clips,{len(rows)}")
     print(f"accuracy,{metrics.accuracy:.6f}")
     for label in dsp.LABELS:
@@ -207,7 +221,7 @@ def cmd_eval(args) -> int:
 
 def cmd_monitor(args) -> int:
     cfg = _resolve_config(args)
-    bundle = load_model(_required_path(args, cfg, "model_path"))
+    bundle = _load_detector(args, cfg)
     if args.input == "-":
         _monitor(cfg, bundle, dsp.pcm_frames(sys.stdin.buffer))
     else:
@@ -226,7 +240,7 @@ def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ConfigError(f"--tolerance={args.tolerance}: must be a finite number >= 0")
-    bundle = load_model(_required_path(args, cfg, "model_path"))
+    bundle = _load_detector(args, cfg)
     spec = _scenario_spec(args, cfg)
     clip, truth = gen_scenario(spec)
     events: list[BreathEvent] = []

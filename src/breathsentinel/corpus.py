@@ -11,6 +11,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -27,22 +28,22 @@ TRAIN_FRACTION = 5
 MIN_CORPUS_SIZE = 400
 
 
-# Clips converted to float64 at a time: 16 clips are 256 frames, one
-# dsp.spectra block, so a block's frames are transformed in one FFT call.
+# Clips read and converted to float64 at a time: 16 clips are 256 frames,
+# one dsp.spectra block, so a block's frames are transformed in one FFT call.
 CLIP_BLOCK = dsp.SPECTRA_BLOCK * dsp.FRAME_LEN // dsp.CLIP_SAMPLES
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
-    """Clips as one 16-bit PCM matrix, plus any per-file load errors.
+    """The usable clip files of a corpus directory, validated but not decoded.
 
-    Row i of `pcm` is one 2-second clip exactly as stored in its WAV file,
-    `labels[i]` its class index into dsp.LABELS and `ids[i]` its relative
-    path. `clips(rows)` gives rows as float64 samples, scaled as
-    dsp.load_wav scales them; callers convert a bounded block at a time.
+    Row i is the 2-second clip in `paths[i]`, `labels[i]` its class index
+    into dsp.LABELS and `ids[i]` its relative path. Samples are read from
+    disk only when asked for: `read_pcm(rows)` as stored, `clips(rows)` as
+    float64, `blocks(rows)` CLIP_BLOCK clips at a time.
     """
 
-    pcm: np.ndarray      # (n, 16384) int16
+    paths: tuple[Path, ...]
     labels: np.ndarray   # (n,) class indices
     ids: tuple[str, ...]
     load_errors: list[str] = field(default_factory=list)
@@ -54,36 +55,6 @@ class Corpus:
         counts = np.bincount(self.labels, minlength=len(dsp.LABELS))
         return dict(zip(dsp.LABELS, counts.tolist()))
 
-    def clips(self, rows) -> np.ndarray:
-        """The clips at `rows` (an index, slice or index array) as float64 samples."""
-        return dsp.pcm_samples(self.pcm[rows])
-
-    def fingerprint(self) -> str:
-        """sha256 over clip IDs and float64 sample data, stable across machines."""
-        digest = hashlib.sha256()
-        for row in np.argsort(self.ids):
-            digest.update(self.ids[row].encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(self.clips(row).tobytes())
-        return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class ClipFiles:
-    """The usable clip files of a corpus directory, validated but not decoded.
-
-    Same rows, labels, ids and load errors as the Corpus that load_corpus
-    builds from them; `read_pcm` decodes only the rows asked for.
-    """
-
-    paths: tuple[Path, ...]
-    labels: np.ndarray
-    ids: tuple[str, ...]
-    load_errors: list[str]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
     def read_pcm(self, rows) -> np.ndarray:
         """(len(rows), 16384) int16 matrix of the clips at `rows`, read from disk."""
         pcm = np.empty((len(rows), dsp.CLIP_SAMPLES), dtype=np.int16)
@@ -94,13 +65,33 @@ class ClipFiles:
             out[:] = clip
         return pcm
 
+    def clips(self, rows) -> np.ndarray:
+        """The clips at `rows` as float64 samples, scaled as dsp.load_wav scales them."""
+        return dsp.pcm_samples(self.read_pcm(rows))
+
+    def blocks(self, rows) -> Iterator[tuple[int, np.ndarray]]:
+        """(start, clips(rows[start:start + CLIP_BLOCK])) for each block of `rows`."""
+        for start in range(0, len(rows), CLIP_BLOCK):
+            yield start, self.clips(rows[start:start + CLIP_BLOCK])
+
+    def fingerprint(self) -> str:
+        """sha256 over clip IDs and float64 sample data, stable across machines."""
+        digest = hashlib.sha256()
+        order = np.argsort(self.ids)
+        for start, block in self.blocks(order):
+            for row, clip in zip(order[start:], block):
+                digest.update(self.ids[row].encode("utf-8"))
+                digest.update(b"\0")
+                digest.update(clip.tobytes())
+        return digest.hexdigest()
+
 
 def _check_length(path, count: int) -> None:
     if count != dsp.CLIP_SAMPLES:
         raise BreathSentinelError(f"{path}: expected {dsp.CLIP_SAMPLES} samples (2 s), got {count}")
 
 
-def scan_corpus(root) -> ClipFiles:
+def load_corpus(root) -> Corpus:
     """Validate every WAV under root/{inhale,exhale,unknown}/ by header and sample count.
 
     No samples are decoded. Files are taken in class then file-name
@@ -124,27 +115,16 @@ def scan_corpus(root) -> ClipFiles:
         if count == 0:
             label = dsp.LABELS[index]
             raise EmptyClass(f"no usable clips for class '{label}' under {root / label}")
-    return ClipFiles(paths=tuple(path for _, path in kept), labels=labels,
-                     ids=tuple(f"{dsp.LABELS[index]}/{path.name}" for index, path in kept),
-                     load_errors=errors)
-
-
-def load_corpus(root) -> Corpus:
-    """Scan a corpus directory (see scan_corpus) and read every usable clip.
-
-    The clips fill the rows of one int16 matrix, in class then file-name
-    order.
-    """
-    files = scan_corpus(root)
-    return Corpus(pcm=files.read_pcm(range(len(files))), labels=files.labels,
-                  ids=files.ids, load_errors=files.load_errors)
+    return Corpus(paths=tuple(path for _, path in kept), labels=labels,
+                  ids=tuple(f"{dsp.LABELS[index]}/{path.name}" for index, path in kept),
+                  load_errors=errors)
 
 
 @dataclass(frozen=True)
 class SplitPlan:
     """Fixed test rows plus a pure per-epoch sampler over the remaining pool.
 
-    Rows index the corpus matrix. The test set is chosen once per seed
+    Rows index the corpus. The test set is chosen once per seed
     and never reappears; each epoch shuffles the pool, takes the
     validation clips first, then draws the training clips from what is
     left, so train and validation are disjoint within an epoch by
@@ -166,11 +146,11 @@ class SplitPlan:
         return val, train
 
 
-def make_split(corpus: Corpus | ClipFiles, seed: int) -> SplitPlan:
+def make_split(corpus: Corpus, seed: int) -> SplitPlan:
     """Deterministic split plan for a corpus of at least 400 clips.
 
     Draws are made over the rows in clip ID order, not load order; only
-    the IDs are read, so a scanned corpus splits as its loaded one does.
+    the IDs are read.
     """
     n = len(corpus)
     if n < MIN_CORPUS_SIZE:

@@ -267,17 +267,16 @@ def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
 
         reads = val_rows if cfg.noise_aug else np.concatenate([train_rows, val_rows])
         new = reads[~encoded[reads]]
-        codes[new] = _encode_samples(ae, corpus.pcm[new])
+        codes[new] = _encode_samples(ae, corpus.read_pcm(new))
         encoded[new] = True
 
         if cfg.noise_aug:
             seeds = aug_rng.integers(0, 2**63, size=len(train_rows))
             code_seqs = np.empty((len(train_rows), WINDOW_FRAMES, INPUT_DIM))
-            for start in range(0, len(train_rows), corpus_mod.CLIP_BLOCK):
-                block = corpus.clips(train_rows[start:start + corpus_mod.CLIP_BLOCK])
-                for clip, clip_seed in zip(block, seeds[start:start + corpus_mod.CLIP_BLOCK]):
+            for start, block in corpus.blocks(train_rows):
+                for clip, clip_seed in zip(block, seeds[start:]):
                     clip[:] = corpus_mod.augment_noise(clip, int(clip_seed))
-                code_seqs[start:start + corpus_mod.CLIP_BLOCK] = _encode_samples(ae, block)
+                code_seqs[start:start + len(block)] = _encode_samples(ae, block)
         else:
             code_seqs = codes[train_rows]
 

@@ -69,7 +69,7 @@ def desk_model(tmp_path_factory) -> DeskModel:
     with threadpool_limits(1):
         gen_corpus(150, seed=DESK_SEED, out_dir=corpus_dir)
         corpus = load_corpus(corpus_dir)
-        spectra = dsp.spectra(corpus.clips(slice(None)).reshape(-1, dsp.FRAME_LEN))
+        spectra = dsp.spectra(corpus.clips(range(len(corpus))).reshape(-1, dsp.FRAME_LEN))
         cfg = RunConfig(seed=DESK_SEED, ae_epochs=200, ae_batch=128, rnn_epochs=300)
         ae_params, _ = ae_mod.train_ae(spectra, cfg)
         rnn_params, _ = rnn_mod.train_rnn(corpus, ae_params, cfg)

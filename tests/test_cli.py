@@ -306,20 +306,6 @@ def test_eval_rejects_a_malformed_bundle_seed(seed, desk_corpus_dir, tmp_path, c
     assert str(model) in err[0] and repr(seed) in err[0]
 
 
-def test_train_ae_holds_one_sample_matrix(desk_corpus_dir, tmp_path, capsys):
-    clips = 3 * 140
-    sample_matrix = clips * dsp.CLIP_SAMPLES * 2  # int16 PCM
-    spectra = clips * 16 * dsp.SPECTRUM_BINS * 8
-    tracemalloc.start()
-    try:
-        assert cli.main(["train-ae", "--corpus", str(desk_corpus_dir),
-                         "--out", str(tmp_path / "ae.bsm"), "--epochs", "0"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < sample_matrix + spectra + 24 * 2**20, peak
-
-
 def _peak_bytes(argv) -> int:
     tracemalloc.start()
     try:
@@ -329,14 +315,72 @@ def _peak_bytes(argv) -> int:
         tracemalloc.stop()
 
 
-def test_train_rnn_holds_the_pcm_matrix_and_codes(desk_corpus_dir, untrained_model, tmp_path,
-                                                  capsys):
-    clips = 3 * 140
-    pcm_matrix = clips * dsp.CLIP_SAMPLES * 2
-    codes = clips * 16 * 50 * 8
+def test_train_ae_holds_the_spectra_not_the_pcm(desk_corpus_dir, tmp_path, capsys):
+    spectra = 3 * 140 * 16 * dsp.SPECTRUM_BINS * 8
+    peak = _peak_bytes(["train-ae", "--corpus", str(desk_corpus_dir),
+                        "--out", str(tmp_path / "ae.bsm"), "--epochs", "0"])
+    assert peak < spectra + 16 * 2**20, peak
+
+
+def test_train_rnn_holds_the_codes_not_the_pcm(desk_corpus_dir, untrained_model, tmp_path,
+                                               capsys):
+    codes = 3 * 140 * 16 * 50 * 8
     peak = _peak_bytes(["train-rnn", "--corpus", str(desk_corpus_dir), "--model",
                         str(untrained_model), "--out", str(tmp_path / "rnn.bsm"), "--epochs", "2"])
-    assert peak < pcm_matrix + codes + 24 * 2**20, peak
+    assert peak < codes + 20 * 2**20, peak
+
+
+def _link_corpus(source, root):
+    """A corpus tree at `root` whose WAVs are links to the files of `source`."""
+    for label in dsp.LABELS:
+        (root / label).mkdir(parents=True)
+        for path in (source / label).glob("*.wav"):
+            (root / label / path.name).symlink_to(path)
+    return root
+
+
+@pytest.mark.parametrize("command", ["train-ae", "train-rnn", "eval"])
+def test_corpus_commands_report_each_skipped_file(command, desk_corpus_dir, untrained_model,
+                                                  tmp_path, capsys):
+    root = _link_corpus(desk_corpus_dir, tmp_path / "corpus")
+    bad = root / "inhale" / "inhale_0003.wav"
+    bad.unlink()
+    bad.write_bytes(b"JUNKJUNKJUNKJUNK")
+    argv = {
+        "train-ae": ["--out", str(tmp_path / "ae.bsm"), "--epochs", "0"],
+        "train-rnn": ["--model", str(untrained_model), "--out", str(tmp_path / "rnn.bsm"),
+                      "--epochs", "0"],
+        "eval": ["--model", str(untrained_model)],
+    }[command]
+    assert cli.main([command, "--corpus", str(root)] + argv) == 0
+    assert capsys.readouterr().err.splitlines() == [f"skipped,{bad}: first bytes are not 'RIFF'"]
+
+
+@pytest.mark.parametrize("damage", ["deleted", "truncated"])
+def test_a_clip_lost_after_loading_stops_train_rnn(damage, desk_corpus_dir, desk_corpus,
+                                                   untrained_model, tmp_path, capsys,
+                                                   monkeypatch):
+    root = _link_corpus(desk_corpus_dir, tmp_path / "corpus")
+    # the first validation clip of epoch 0 is read before any training step
+    clip_id = desk_corpus.ids[make_split(desk_corpus, 0).epoch_draw(0)[0][0]]
+    lost = root / clip_id
+    load_corpus = cli.load_corpus
+
+    def load_then_damage(path):
+        corpus = load_corpus(path)
+        lost.unlink()
+        if damage == "truncated":
+            lost.write_bytes((desk_corpus_dir / clip_id).read_bytes()[:4096])
+        return corpus
+
+    monkeypatch.setattr(cli, "load_corpus", load_then_damage)
+    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+    out = tmp_path / "rnn.bsm"
+    assert cli.main(["train-rnn", "--corpus", str(root), "--model", str(untrained_model),
+                     "--out", str(out), "--epochs", "1", "--seed", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(lost) in err[0], err
+    assert not out.exists()
 
 
 def test_eval_decodes_only_the_test_clips(desk_corpus_dir, desk_corpus, untrained_model,
@@ -566,6 +610,26 @@ def test_simulate_writes_report_and_exit_code(untrained_model, tmp_path):
     assert text.startswith("report,simulate")
     assert "false_positives," in text
     assert "recall," in text
+
+
+@pytest.mark.parametrize("command", ["monitor", "simulate"])
+def test_an_untrained_classifier_draws_one_warning(command, untrained_model, breathing_wav,
+                                                   tmp_path, capsys):
+    bundle = load_model(untrained_model)
+    untrained = tmp_path / "rnn_epochs_0.bsm"
+    save_model(dataclasses.replace(bundle, metadata={**bundle.metadata, "rnn_epochs": "0"}),
+               untrained)
+    argv = {"monitor": ["monitor", "--input", str(breathing_wav)],
+            "simulate": ["simulate", "--scenario", "normal", "--duration", "20", "--onset", "10",
+                         "--seed", "4"]}[command]
+    runs = []
+    for model in (untrained_model, untrained):
+        runs.append((cli.main(argv + ["--model", str(model)]), capsys.readouterr()))
+    (code, quiet), (warned_code, warned) = runs
+    assert warned_code == code and warned.out == quiet.out and quiet.err == ""
+    err = warned.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: "), err
+    assert str(untrained) in err[0] and "train-rnn" in err[0]
 
 
 def test_simulate_determinism(untrained_model, tmp_path):

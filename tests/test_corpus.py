@@ -1,25 +1,26 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from breathsentinel import dsp, gen_corpus
-from breathsentinel.corpus import Corpus, augment_noise, load_corpus, make_split, scan_corpus
+from breathsentinel.corpus import CLIP_BLOCK, Corpus, augment_noise, load_corpus, make_split
 from breathsentinel.errors import CorpusTooSmall, EmptyClass
 
 
-def in_memory_corpus(n_total, ids=None):
-    """Corpus of n_total silent clips sharing one buffer (cheap at any scale).
+def listed_corpus(n_total, ids=None):
+    """Corpus of n_total clips that exist only as a file list (cheap at any scale).
 
-    Rows cycle through the classes, so the default IDs are not in load
-    order: "exhale/..." sorts before "inhale/...".
+    Splits read only the IDs, so no file is behind a path. Rows cycle
+    through the classes, so the default IDs are not in load order:
+    "exhale/..." sorts before "inhale/...".
     """
     labels = np.arange(n_total) % 3
     if ids is None:
         ids = tuple(f"{dsp.LABELS[k]}/c{i:05d}.wav" for i, k in enumerate(labels))
-    pcm = np.broadcast_to(np.zeros(dsp.CLIP_SAMPLES, dtype=np.int16), (n_total, dsp.CLIP_SAMPLES))
-    return Corpus(pcm=pcm, labels=labels, ids=ids)
+    return Corpus(paths=tuple(Path(clip_id) for clip_id in ids), labels=labels, ids=ids)
 
 
 def id_split(ids, seed, epochs):
@@ -56,9 +57,8 @@ def test_corrupt_file_is_reported_not_fatal(tmp_path):
     assert len(corpus) == 29
     assert len(corpus.load_errors) == 1
     assert "inhale_0003" in corpus.load_errors[0]
-    assert corpus.pcm.shape == (29, dsp.CLIP_SAMPLES)
     assert corpus.ids[3] == "inhale/inhale_0004.wav"
-    assert np.array_equal(corpus.clips(3),
+    assert np.array_equal(corpus.clips([3])[0],
                           dsp.load_wav(tmp_path / "inhale" / "inhale_0004.wav").samples)
 
 
@@ -68,17 +68,22 @@ def test_rows_follow_class_then_file_order(tmp_path):
     assert corpus.ids == tuple(f"{label}/{label}_{i:04d}.wav"
                                for label in dsp.LABELS for i in range(10))
     assert corpus.labels.tolist() == [0] * 10 + [1] * 10 + [2] * 10
-    for row in (0, 13, 29):
-        assert np.array_equal(corpus.clips(row), dsp.load_wav(tmp_path / corpus.ids[row]).samples)
+    for row, clip in zip((0, 13, 29), corpus.clips([0, 13, 29])):
+        assert np.array_equal(clip, dsp.load_wav(tmp_path / corpus.ids[row]).samples)
 
 
 def test_every_row_is_the_wav_data_and_converts_bit_equal_to_load_wav(desk_corpus,
                                                                       desk_corpus_dir):
-    assert desk_corpus.pcm.dtype == np.int16
-    for row, clip_id in enumerate(desk_corpus.ids):
-        samples = dsp.load_wav(desk_corpus_dir / clip_id).samples
-        assert np.array_equal(desk_corpus.clips(row), samples), clip_id
-        assert desk_corpus.clips(row).tobytes() == samples.tobytes(), clip_id
+    rows = range(len(desk_corpus))
+    for start, block in desk_corpus.blocks(rows):
+        assert len(block) <= CLIP_BLOCK
+        pcm = desk_corpus.read_pcm(rows[start:start + len(block)])
+        assert pcm.dtype == np.int16
+        for row, clip, stored in zip(rows[start:], block, pcm):
+            clip_id = desk_corpus.ids[row]
+            assert np.array_equal(stored, dsp.read_pcm(desk_corpus_dir / clip_id)), clip_id
+            samples = dsp.load_wav(desk_corpus_dir / clip_id).samples
+            assert clip.tobytes() == samples.tobytes(), clip_id
 
 
 def test_fingerprint_hashes_the_float64_samples_in_id_order(desk_corpus, desk_corpus_dir):
@@ -89,16 +94,25 @@ def test_fingerprint_hashes_the_float64_samples_in_id_order(desk_corpus, desk_co
     assert desk_corpus.fingerprint() == digest.hexdigest()
 
 
-def test_scan_keeps_the_rows_and_errors_of_a_load_and_decodes_on_request(tmp_path):
+def test_load_decodes_nothing_until_rows_are_asked_for(tmp_path, monkeypatch):
     gen_corpus(10, seed=4, out_dir=tmp_path)
     (tmp_path / "inhale" / "inhale_0003.wav").write_bytes(b"JUNKJUNKJUNKJUNK")
     dsp.write_wav(tmp_path / "exhale" / "exhale_0001.wav", np.zeros(1024))
-    files, corpus = scan_corpus(tmp_path), load_corpus(tmp_path)
-    assert files.ids == corpus.ids and len(files) == len(corpus) == 28
-    assert np.array_equal(files.labels, corpus.labels)
-    assert files.load_errors == corpus.load_errors and len(files.load_errors) == 2
+    read = []
+    read_pcm = dsp.read_pcm
+
+    def recording(path):
+        read.append(path.relative_to(tmp_path).as_posix())
+        return read_pcm(path)
+
+    monkeypatch.setattr(dsp, "read_pcm", recording)
+    corpus = load_corpus(tmp_path)
+    assert len(corpus) == 28 and len(corpus.load_errors) == 2 and read == []
     rows = np.array([27, 0, 13])
-    assert np.array_equal(files.read_pcm(rows), corpus.pcm[rows])
+    pcm = corpus.read_pcm(rows)
+    assert read == [corpus.ids[row] for row in rows]
+    for row, stored in zip(rows, pcm):
+        assert np.array_equal(stored, read_pcm(tmp_path / corpus.ids[row]))
 
 
 def test_wrong_length_clip_is_reported(tmp_path):
@@ -137,7 +151,7 @@ def test_fingerprint_stable_and_content_sensitive(tmp_path):
 # --- splits ---
 
 def test_reference_scale_split_arithmetic():
-    corpus = in_memory_corpus(1500)
+    corpus = listed_corpus(1500)
     plan = make_split(corpus, seed=0)
     assert len(plan.test_rows) == 50
     assert len(plan.pool_rows) == 1450
@@ -150,7 +164,7 @@ def test_reference_scale_split_arithmetic():
 
 
 def test_scaled_split_sizes():
-    plan = make_split(in_memory_corpus(450), seed=1)
+    plan = make_split(listed_corpus(450), seed=1)
     assert len(plan.test_rows) == 15
     val, train = plan.epoch_draw(3)
     assert len(val) == 15
@@ -158,7 +172,7 @@ def test_scaled_split_sizes():
 
 
 def test_split_is_deterministic():
-    corpus = in_memory_corpus(600)
+    corpus = listed_corpus(600)
     a, b = make_split(corpus, seed=9), make_split(corpus, seed=9)
     assert np.array_equal(a.test_rows, b.test_rows)
     for rows_a, rows_b in zip(a.epoch_draw(17), b.epoch_draw(17)):
@@ -167,7 +181,7 @@ def test_split_is_deterministic():
 
 
 def test_epoch_draws_never_touch_test_ids():
-    plan = make_split(in_memory_corpus(450), seed=2)
+    plan = make_split(listed_corpus(450), seed=2)
     forbidden = set(plan.test_rows)
     for epoch in range(100):
         val, train = plan.epoch_draw(epoch)
@@ -177,7 +191,7 @@ def test_epoch_draws_never_touch_test_ids():
 
 
 def test_isolation_holds_across_many_seeds():
-    corpus = in_memory_corpus(420)
+    corpus = listed_corpus(420)
     for seed in range(50):
         plan = make_split(corpus, seed=seed)
         forbidden = set(plan.test_rows)
@@ -189,10 +203,10 @@ def test_isolation_holds_across_many_seeds():
 
 @pytest.mark.parametrize("load_order", ["cycled", "shuffled"])
 def test_split_rows_select_the_clips_the_id_split_selects(load_order):
-    corpus = in_memory_corpus(420)
+    corpus = listed_corpus(420)
     if load_order == "shuffled":
         shuffled = np.random.default_rng(0).permutation(corpus.ids)
-        corpus = in_memory_corpus(420, ids=tuple(shuffled.tolist()))
+        corpus = listed_corpus(420, ids=tuple(shuffled.tolist()))
     assert list(corpus.ids) != sorted(corpus.ids)
     ids = np.array(corpus.ids)
     for seed in range(50):
@@ -208,7 +222,7 @@ def test_split_rows_select_the_clips_the_id_split_selects(load_order):
 
 def test_corpus_too_small_rejected():
     with pytest.raises(CorpusTooSmall):
-        make_split(in_memory_corpus(399), seed=0)
+        make_split(listed_corpus(399), seed=0)
 
 
 # --- augmentation ---

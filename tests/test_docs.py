@@ -1,0 +1,31 @@
+"""The README's API list and module map name what the package holds."""
+
+import re
+from pathlib import Path
+
+import breathsentinel
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "breathsentinel"
+
+
+def readme_section(title: str) -> str:
+    """The README text under `## title`, up to the next second-level heading."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_every_exported_name_is_in_the_python_api_section():
+    section = readme_section("Python API")
+    missing = [name for name in breathsentinel.__all__
+               if not re.search(rf"`{re.escape(name)}\b", section)]
+    assert missing == []
+
+
+def test_every_module_is_in_the_layout_block():
+    block = readme_section("Layout").split("```")[1]
+    listed = set(re.findall(r"^\s+(\w+\.py)\b", block, flags=re.MULTILINE))
+    modules = {path.name for path in PACKAGE.glob("*.py") if not path.name.startswith("__")}
+    assert sorted(modules - listed) == []

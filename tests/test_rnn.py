@@ -299,7 +299,8 @@ def test_training_encodes_each_pool_row_once_and_only_rows_it_reads(desk_corpus,
     def key(samples):
         return hashlib.sha256(samples.tobytes()).digest()
 
-    row_of = {key(desk_corpus.clips(row)): row for row in range(len(desk_corpus))}
+    rows = range(len(desk_corpus))
+    row_of = {key(clip): row for row, clip in zip(rows, desk_corpus.clips(rows))}
     assert len(row_of) == len(desk_corpus)
     encoded, augmented = [], []
     encode = rnn._encode_samples
