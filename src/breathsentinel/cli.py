@@ -78,7 +78,7 @@ def _load_corpus(args, cfg: RunConfig) -> Corpus:
 
 
 def _load_detector(args, cfg: RunConfig) -> ModelBundle:
-    """The bundle monitor and simulate run; warns when its classifier never trained."""
+    """The bundle eval, monitor and simulate run; warns when its classifier never trained."""
     path = _required_path(args, cfg, "model_path")
     bundle = load_model(path)
     if bundle.metadata.get("rnn_epochs") == "0":
@@ -199,12 +199,11 @@ def _bundle_seed(path: str, raw: str) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    model_path = _required_path(args, cfg, "model_path")
-    bundle = load_model(model_path)
+    bundle = _load_detector(args, cfg)
     # the split the bundle was trained on, unless a seed is given explicitly
     seed = cfg.seed
     if args.seed is None and SEED_ENV_VAR not in os.environ and "seed" in bundle.metadata:
-        seed = _bundle_seed(model_path, bundle.metadata["seed"])
+        seed = _bundle_seed(cfg.model_path, bundle.metadata["seed"])
     corpus = _load_corpus(args, cfg)
     rows = make_split(corpus, seed).test_rows
     metrics = evaluate(bundle.rnn, bundle.ae, corpus.read_pcm(rows), corpus.labels[rows])

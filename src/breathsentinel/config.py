@@ -48,7 +48,7 @@ class RunConfig:
             ("confidence", 0.5 <= self.confidence < 1.0, "must be in [0.5, 1.0)"),
             ("run_length", 1 <= self.run_length <= 10, "must be in [1, 10]"),
             ("interval_window", 5 <= self.interval_window <= 200, "must be in [5, 200]"),
-            ("trend_alpha", 0.0 < self.trend_alpha <= 0.5, "must be in (0, 0.5]"),
+            ("trend_alpha", 0.0 < self.trend_alpha < 0.5, "must be in (0, 0.5)"),
             ("ci_level", 0.5 <= self.ci_level <= 0.999, "must be in [0.5, 0.999]"),
             ("refractory", 0.0 <= self.refractory <= 5.0, "must be in [0, 5] seconds"),
         ]

@@ -29,10 +29,6 @@ class ShapeMismatch(BreathSentinelError):
     """Parameter, gradient, and accumulator shapes disagree."""
 
 
-class NonFiniteLoss(BreathSentinelError):
-    """Loss evaluated to NaN or infinity during gradient checking."""
-
-
 class NonFiniteActivation(BreathSentinelError):
     """A forward pass produced NaN or infinity."""
 

@@ -89,14 +89,6 @@ class GroundTruth:
         lines += [f"{t:.6f},{k}" for t, k in self.onsets]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "GroundTruth":
-        rows = []
-        for line in text.strip().splitlines()[1:]:
-            t, k = line.split(",")
-            rows.append((float(t), k))
-        return cls(onsets=tuple(rows))
-
 
 def _band_noise(rng: np.random.Generator, n: int, f_lo: float, f_hi: float) -> np.ndarray:
     """Unit-peak white noise band-limited to [f_lo, f_hi] by spectral masking."""
@@ -259,7 +251,9 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
     diverges at `onset`: arrest stops placing breaths entirely;
     decrement multiplies the grid period by (1 + rate) per breath, with
     onsets nudged so consecutive inhale-to-inhale gaps strictly
-    increase. A uniform noise floor runs throughout.
+    increase. A uniform noise floor runs throughout. At a short period or
+    a wide jitter a burst can start before the one placed ahead of it;
+    the bursts then overlap, and the truth lists every onset in time order.
     """
     rng = np.random.default_rng(spec.seed)
     n = int(spec.duration * dsp.SAMPLE_RATE)
@@ -303,7 +297,7 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
         grid = grid + period
 
     np.clip(audio, -1.0, 1.0, out=audio)
-    return dsp.AudioClip(samples=audio), GroundTruth(onsets=tuple(onsets))
+    return dsp.AudioClip(samples=audio), GroundTruth(onsets=tuple(sorted(onsets)))
 
 
 def write_scenario(spec: ScenarioSpec, wav_path, truth_path) -> tuple[Path, Path]:

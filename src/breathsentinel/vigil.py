@@ -6,7 +6,9 @@ built from the infant's own recent intervals. Trend detection: a one-sided
 t-test for a positive regression slope of interval duration on breath
 index, which catches gradual slowing long before any single gap looks
 alarming. Both tests adapt to the monitored subject instead of using a
-fixed threshold.
+fixed threshold. Both thresholds use Student-t quantiles, bisected on the
+closed-form CDF for integer degrees of freedom, so no statistics library
+is needed.
 """
 
 from __future__ import annotations
@@ -83,61 +85,24 @@ class IntervalSeries:
         return self
 
 
-def _beta_cf(a: float, b: float, x: float, max_iter: int = 500, eps: float = 1e-15) -> float:
-    """Continued fraction for the incomplete beta integral (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise DomainError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
-
-
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (a * math.log(x) + b * math.log1p(-x)
-                - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_cf(a, b, x) / a
-    return 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - x) / b
-
-
 def _t_cdf(t: float, df: int) -> float:
-    """P(T <= t) for Student's t with df degrees of freedom, t >= 0."""
-    if t <= 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    return 1.0 - 0.5 * _betainc_reg(0.5 * df, 0.5, x)
+    """P(T <= t) for Student's t with an integer df >= 1.
+
+    Abramowitz & Stegun, Handbook of Mathematical Functions, 26.7.3-26.7.4:
+    with theta = atan(t / sqrt(df)), 2P - 1 is (2/pi)(theta + sin cos S)
+    for odd df and sin S for even df. S is a finite sum whose first term is
+    1 and each next term the last times cos^2 * k / (k + 1), for k = 2, 4,
+    ... (odd df) or 1, 3, ... (even df) up to df - 3; at df = 1 it is empty.
+    """
+    theta = math.atan(t / math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    term, total = 1.0, 0.0
+    for k in range(1 + df % 2, df, 2):
+        total += term
+        term *= cos * cos * k / (k + 1)
+    if df % 2:
+        return 0.5 + (theta + sin * cos * total) / math.pi
+    return 0.5 + 0.5 * sin * total
 
 
 # A run asks for two p values (arrest and trend) with df below the config's
@@ -146,15 +111,15 @@ def _t_cdf(t: float, df: int) -> float:
 def t_quantile(p: float, df: int) -> float:
     """Upper quantile of Student's t, found by bisection on the CDF.
 
-    Valid for p in (0.5, 1) and df >= 1; absolute error at most 1e-6.
+    Valid for p in (0.5, 1) and integer df >= 1; absolute error at most 1e-6.
     Memoized per (p, df): the alarms ask for the same few pairs on every
     tick. A call outside the domain raises every time, since exceptions
     are not cached; `t_quantile.__wrapped__` is the uncached bisection.
     """
     if not 0.5 < p < 1.0:
         raise DomainError(f"p must be in (0.5, 1), got {p}")
-    if df < 1:
-        raise DomainError(f"df must be >= 1, got {df}")
+    if not (isinstance(df, (int, np.integer)) and df >= 1):
+        raise DomainError(f"df must be an integer >= 1, got {df}")
     lo, hi = 0.0, 1.0
     while _t_cdf(hi, df) < p:
         hi *= 2.0

@@ -22,10 +22,10 @@ from breathsentinel import rnn as rnn_mod
 from breathsentinel.config import RunConfig
 from breathsentinel.corpus import load_corpus, make_split
 from breathsentinel.model_io import ModelBundle, save_model
-from breathsentinel.optim import grad_check
 from breathsentinel.stream import BreathEvent, infer_stream, match_events
 from breathsentinel.synthgen import ScenarioSpec, gen_corpus, gen_scenario
 from breathsentinel.vigil import ols_slope_t, run_detection, t_quantile
+from helpers import grad_check
 
 try:
     from threadpoolctl import threadpool_limits

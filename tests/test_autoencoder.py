@@ -6,7 +6,7 @@ import pytest
 from breathsentinel import autoencoder as ae
 from breathsentinel.config import RunConfig
 from breathsentinel.errors import DivergedLoss
-from breathsentinel.optim import grad_check
+from helpers import grad_check
 
 
 def random_frame(seed=0, bins=ae.DIMS[0]):

@@ -217,6 +217,14 @@ def test_synth_scenario_writes_wav_and_truth(tmp_path):
     assert first.endswith(",inhale")
 
 
+def test_synth_scenario_at_a_fast_rhythm_writes_ordered_truth(tmp_path):
+    wav, csv = tmp_path / "s.wav", tmp_path / "s.csv"
+    assert cli.main(["synth", "scenario", "--kind", "normal", "--base-period", "1.2",
+                     "--out", str(wav), "--truth", str(csv)]) == 0
+    times = [float(line.split(",")[0]) for line in csv.read_text().splitlines()[1:]]
+    assert len(times) > 2 and all(a < b for a, b in zip(times, times[1:]))
+
+
 # --- training commands ---
 
 def test_train_ae_writes_bundle(tiny_corpus_dir, tmp_path):
@@ -612,16 +620,17 @@ def test_simulate_writes_report_and_exit_code(untrained_model, tmp_path):
     assert "recall," in text
 
 
-@pytest.mark.parametrize("command", ["monitor", "simulate"])
+@pytest.mark.parametrize("command", ["monitor", "simulate", "eval"])
 def test_an_untrained_classifier_draws_one_warning(command, untrained_model, breathing_wav,
-                                                   tmp_path, capsys):
+                                                   desk_corpus_dir, tmp_path, capsys):
     bundle = load_model(untrained_model)
     untrained = tmp_path / "rnn_epochs_0.bsm"
     save_model(dataclasses.replace(bundle, metadata={**bundle.metadata, "rnn_epochs": "0"}),
                untrained)
     argv = {"monitor": ["monitor", "--input", str(breathing_wav)],
             "simulate": ["simulate", "--scenario", "normal", "--duration", "20", "--onset", "10",
-                         "--seed", "4"]}[command]
+                         "--seed", "4"],
+            "eval": ["eval", "--corpus", str(desk_corpus_dir)]}[command]
     runs = []
     for model in (untrained_model, untrained):
         runs.append((cli.main(argv + ["--model", str(model)]), capsys.readouterr()))
@@ -630,6 +639,16 @@ def test_an_untrained_classifier_draws_one_warning(command, untrained_model, bre
     err = warned.err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: "), err
     assert str(untrained) in err[0] and "train-rnn" in err[0]
+
+
+def test_monitor_rejects_a_trend_alpha_the_trend_test_cannot_use(untrained_model,
+                                                                 breathing_wav, capsys):
+    assert cli.main(["monitor", "--model", str(untrained_model), "--input", str(breathing_wav),
+                     "--trend-alpha", "0.5"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: trend_alpha=0.5: "), err
 
 
 def test_simulate_determinism(untrained_model, tmp_path):

@@ -55,6 +55,7 @@ def test_missing_equals_rejected(tmp_path):
     "run_length=0",
     "interval_window=3",
     "trend_alpha=0.9",
+    "trend_alpha=0.5",
     "ci_level=0.2",
     "rnn_hidden=64",
     "ae_learning_rate=0",

@@ -1,6 +1,9 @@
-"""The README's API list and module map name what the package holds."""
+"""The README's API list, module map and dependency line hold for the package."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import breathsentinel
@@ -29,3 +32,14 @@ def test_every_module_is_in_the_layout_block():
     listed = set(re.findall(r"^\s+(\w+\.py)\b", block, flags=re.MULTILINE))
     modules = {path.name for path in PACKAGE.glob("*.py") if not path.name.startswith("__")}
     assert sorted(modules - listed) == []
+
+
+def test_importing_every_module_leaves_scipy_unloaded():
+    script = ("import pkgutil, sys, importlib, breathsentinel\n"
+              "for mod in pkgutil.iter_modules(breathsentinel.__path__):\n"
+              "    importlib.import_module('breathsentinel.' + mod.name)\n"
+              "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"

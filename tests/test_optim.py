@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breathsentinel.errors import NonFiniteLoss, ShapeMismatch
-from breathsentinel.optim import AdagradState, adagrad_step, clip_gradients, grad_check
+from breathsentinel.errors import ShapeMismatch
+from breathsentinel.optim import AdagradState, adagrad_step, clip_gradients
+from helpers import NonFiniteLoss, grad_check
 
 
 def _state(params, lr):

@@ -11,7 +11,7 @@ from breathsentinel.autoencoder import init_ae
 from breathsentinel.config import RunConfig
 from breathsentinel.corpus import make_split
 from breathsentinel.errors import EmptyEvalSet
-from breathsentinel.optim import grad_check
+from helpers import grad_check
 
 
 def random_window(seed=0):

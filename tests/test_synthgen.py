@@ -11,6 +11,7 @@ from breathsentinel.synthgen import (
     _unknown_signal,
     write_scenario,
 )
+from helpers import truth_from_csv
 
 
 def spectral_centroid(clip):
@@ -174,7 +175,7 @@ def test_write_scenario_round_trip(tmp_path):
     wav_path, truth_path = write_scenario(spec, tmp_path / "s.wav", tmp_path / "s.csv")
     clip = dsp.load_wav(wav_path)
     assert clip.samples.size == 90 * 8192
-    truth = GroundTruth.from_csv(truth_path.read_text())
+    truth = truth_from_csv(truth_path.read_text())
     _, original = gen_scenario(spec)
     assert len(truth.onsets) == len(original.onsets)
     assert truth.onsets[0][1] == original.onsets[0][1]

@@ -12,6 +12,7 @@ from breathsentinel.stream import WINDOW_SECONDS, BreathEvent, Debouncer, Predic
 from breathsentinel.vigil import (
     Alert,
     IntervalSeries,
+    _t_cdf,
     arrest_check,
     ols_slope_t,
     run_detection,
@@ -89,6 +90,21 @@ def test_t_quantile_domain_errors():
             t_quantile(1.0, 10)
         with pytest.raises(DomainError):
             t_quantile(0.9, 0)
+        with pytest.raises(DomainError):
+            t_quantile(0.9, 2.5)
+
+
+def test_t_cdf_matches_scipy_for_integer_df():
+    ts = np.concatenate([np.linspace(0.0, 5.0, 21), np.linspace(6.0, 50.0, 12)])
+    for df in range(1, 1001):
+        cdf = np.array([_t_cdf(float(t), df) for t in ts])
+        assert np.max(np.abs(cdf - stats.t.cdf(ts, df))) <= 1e-12, df
+
+
+def test_t_cdf_closed_forms_at_one_and_two_df():
+    for t in (0.0, 0.01, 0.5, 1.0, 3.0, 12.0, 1e4):
+        assert _t_cdf(t, 1) == pytest.approx(0.5 + math.atan(t) / math.pi, abs=1e-15)
+        assert _t_cdf(t, 2) == pytest.approx(0.5 + t / (2.0 * math.sqrt(2.0 + t * t)), abs=1e-15)
 
 
 def test_memoized_t_quantile_is_bit_equal_to_bisection():
