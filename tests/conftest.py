@@ -1,13 +1,14 @@
 import pytest
 
-from breathsentinel import gen_corpus, load_corpus
+from breathsentinel import load_corpus
+from helpers import write_desk_corpus
 
 
 @pytest.fixture(scope="session")
 def desk_corpus_dir(tmp_path_factory):
     """A 140-per-class corpus on disk, big enough for split plans (>= 400 clips)."""
     root = tmp_path_factory.mktemp("corpus")
-    gen_corpus(140, seed=1234, out_dir=root)
+    write_desk_corpus(root)
     return root
 
 

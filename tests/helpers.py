@@ -1,4 +1,4 @@
-"""Oracles and readers the tests share; nothing in the package calls them."""
+"""Oracles, readers and data the tests share; nothing in the package calls them."""
 
 from __future__ import annotations
 
@@ -7,7 +7,10 @@ import math
 import numpy as np
 
 from breathsentinel.errors import BreathSentinelError, ShapeMismatch
-from breathsentinel.synthgen import GroundTruth
+from breathsentinel.synthgen import GroundTruth, gen_corpus
+
+DESK_PER_CLASS = 140
+DESK_SEED = 1234
 
 
 class NonFiniteLoss(BreathSentinelError):
@@ -64,3 +67,8 @@ def truth_from_csv(text: str) -> GroundTruth:
         t, k = line.split(",")
         rows.append((float(t), k))
     return GroundTruth(onsets=tuple(rows))
+
+
+def write_desk_corpus(root) -> None:
+    """The tests' desk corpus: 140 clips per class at seed 1234, big enough for split plans."""
+    gen_corpus(DESK_PER_CLASS, seed=DESK_SEED, out_dir=root)
