@@ -206,7 +206,7 @@ def cmd_eval(args) -> int:
         seed = _bundle_seed(cfg.model_path, bundle.metadata["seed"])
     corpus = _load_corpus(args, cfg)
     rows = make_split(corpus, seed).test_rows
-    metrics = evaluate(bundle.rnn, bundle.ae, corpus.read_pcm(rows), corpus.labels[rows])
+    metrics = evaluate(bundle.rnn, bundle.ae, corpus, rows)
     print(f"clips,{len(rows)}")
     print(f"accuracy,{metrics.accuracy:.6f}")
     for label in dsp.LABELS:

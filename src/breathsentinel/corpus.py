@@ -39,8 +39,8 @@ class Corpus:
 
     Row i is the 2-second clip in `paths[i]`, `labels[i]` its class index
     into dsp.LABELS and `ids[i]` its relative path. Samples are read from
-    disk only when asked for: `read_pcm(rows)` as stored, `clips(rows)` as
-    float64, `blocks(rows)` CLIP_BLOCK clips at a time.
+    disk only when asked for: `clips(rows)` all at once, `blocks(rows)`
+    CLIP_BLOCK clips at a time.
     """
 
     paths: tuple[Path, ...]
@@ -55,19 +55,15 @@ class Corpus:
         counts = np.bincount(self.labels, minlength=len(dsp.LABELS))
         return dict(zip(dsp.LABELS, counts.tolist()))
 
-    def read_pcm(self, rows) -> np.ndarray:
-        """(len(rows), 16384) int16 matrix of the clips at `rows`, read from disk."""
-        pcm = np.empty((len(rows), dsp.CLIP_SAMPLES), dtype=np.int16)
-        for out, row in zip(pcm, rows):
-            path = self.paths[row]
-            clip = dsp.read_pcm(path)
-            _check_length(path, clip.size)
-            out[:] = clip
-        return pcm
-
     def clips(self, rows) -> np.ndarray:
         """The clips at `rows` as float64 samples, scaled as dsp.load_wav scales them."""
-        return dsp.pcm_samples(self.read_pcm(rows))
+        samples = np.empty((len(rows), dsp.CLIP_SAMPLES))
+        for out, row in zip(samples, rows):
+            path = self.paths[row]
+            pcm = dsp.read_pcm(path)
+            _check_length(path, pcm.size)
+            out[:] = dsp.pcm_samples(pcm)
+        return samples
 
     def blocks(self, rows) -> Iterator[tuple[int, np.ndarray]]:
         """(start, clips(rows[start:start + CLIP_BLOCK])) for each block of `rows`."""

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
+EPSILON = 1e-8  # keeps the first steps finite where an accumulator is still zero
+
 
 @dataclass
 class AdagradState:
@@ -24,19 +26,17 @@ class AdagradState:
 
     accumulators: dict[str, np.ndarray]
     learning_rate: float
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], learning_rate: float,
-                   epsilon: float = 1e-8) -> "AdagradState":
+    def for_params(cls, params: dict[str, np.ndarray], learning_rate: float) -> "AdagradState":
         if learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        return cls({k: np.zeros_like(v) for k, v in params.items()}, learning_rate, epsilon)
+        return cls({k: np.zeros_like(v) for k, v in params.items()}, learning_rate)
 
 
 def adagrad_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                  state: AdagradState) -> tuple[dict[str, np.ndarray], AdagradState]:
-    """One Adagrad update, in place: G += g*g; p -= lr * g / (sqrt(G) + eps)."""
+    """One Adagrad update, in place: G += g*g; p -= lr * g / (sqrt(G) + EPSILON)."""
     if set(params) != set(grads) or set(params) != set(state.accumulators):
         raise ShapeMismatch(
             f"parameter names differ: params={sorted(params)}, grads={sorted(grads)}, "
@@ -50,7 +50,7 @@ def adagrad_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 f"{name}: params {p.shape}, grads {g.shape}, accumulators {acc.shape}"
             )
         acc += g * g
-        p -= state.learning_rate * g / (np.sqrt(acc) + state.epsilon)
+        p -= state.learning_rate * g / (np.sqrt(acc) + EPSILON)
     return params, state
 
 

@@ -10,6 +10,11 @@ guard against blow-ups. Only the error passed back through the recurrence
 is stepped frame by frame; a window's input and recurrent weight gradients
 are then one matrix product each over its 16 steps, and the bias gradient
 one column sum.
+
+Training and evaluation turn corpus rows into codes one way: clips are
+read 16 at a time, noise-augmented when training asks for it, and each
+block goes through dsp.spectra and one encoder product. No code is kept
+from one epoch to the next.
 """
 
 from __future__ import annotations
@@ -194,20 +199,25 @@ class EvalMetrics:
 
 
 def _encode_samples(ae: AEParams, clips: np.ndarray) -> np.ndarray:
-    """(n_clips, 16384) clips -> (n_clips, 16, 50) latent code sequences.
+    """(n_clips, 16384) float64 clips -> (n_clips, 16, 50) latent codes, one encoder product."""
+    spectra = dsp.spectra(clips.reshape(-1, dsp.FRAME_LEN))
+    return encode_batch(ae, spectra).reshape(-1, WINDOW_FRAMES, INPUT_DIM)
 
-    Clips go through the front end corpus.CLIP_BLOCK at a time. int16
-    rows are 16-bit PCM and are scaled to float64 one block at a time, as
-    dsp.load_wav scales them; float rows are samples already.
+
+def _corpus_codes(ae: AEParams, corpus: "corpus_mod.Corpus", rows,
+                  noise_seeds=None) -> np.ndarray:
+    """(len(rows), 16, 50) latent codes of the corpus clips at `rows`.
+
+    The one path from corpus rows to codes: clips are read and encoded
+    corpus.CLIP_BLOCK at a time. With `noise_seeds`, one per row, each
+    clip is first noise-augmented with its seed.
     """
-    codes = np.empty((len(clips), WINDOW_FRAMES, INPUT_DIM))
-    for start in range(0, len(clips), corpus_mod.CLIP_BLOCK):
-        block = clips[start:start + corpus_mod.CLIP_BLOCK]
-        if block.dtype == np.int16:
-            block = dsp.pcm_samples(block)
-        spectra = dsp.spectra(block.reshape(-1, dsp.FRAME_LEN))
-        codes[start:start + corpus_mod.CLIP_BLOCK] = encode_batch(ae, spectra).reshape(
-            -1, WINDOW_FRAMES, INPUT_DIM)
+    codes = np.empty((len(rows), WINDOW_FRAMES, INPUT_DIM))
+    for start, block in corpus.blocks(rows):
+        if noise_seeds is not None:
+            for clip, seed in zip(block, noise_seeds[start:]):
+                clip[:] = corpus_mod.augment_noise(clip, int(seed))
+        codes[start:start + len(block)] = _encode_samples(ae, block)
     return codes
 
 
@@ -223,17 +233,16 @@ def _metrics_from_predictions(labels: np.ndarray, predicted: np.ndarray) -> Eval
                        macro_f1=float(np.mean(f1)), confusion=confusion)
 
 
-def evaluate(params: RNNParams, ae: AEParams, samples: np.ndarray,
-             labels: np.ndarray) -> EvalMetrics:
+def evaluate(params: RNNParams, ae: AEParams, corpus: "corpus_mod.Corpus",
+             rows) -> EvalMetrics:
     """Accuracy, per-class and macro F1, and the 3x3 confusion matrix.
 
-    `samples` is (n, 16384), one clip per row, as float64 samples or as
-    int16 PCM; `labels` their class indices.
+    Scores the corpus clips at `rows` against their labels.
     """
-    if len(samples) == 0:
+    if len(rows) == 0:
         raise EmptyEvalSet("no clips to evaluate")
-    _, scores = _forward_codes(params, _encode_samples(ae, samples))
-    return _metrics_from_predictions(labels, scores.argmax(axis=-1))
+    _, scores = _forward_codes(params, _corpus_codes(ae, corpus, rows))
+    return _metrics_from_predictions(corpus.labels[rows], scores.argmax(axis=-1))
 
 
 def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
@@ -255,43 +264,20 @@ def train_rnn(corpus: "corpus_mod.Corpus", ae: AEParams,
     state = AdagradState.for_params(tensors, cfg.rnn_learning_rate)
     aug_rng = np.random.default_rng([cfg.seed, 0x5EED])
 
-    # Unaugmented latent codes by corpus row, encoded the first time an
-    # epoch reads the row and kept: unaugmented clips have fixed codes for
-    # a frozen encoder. With augmentation on, only validation rows are read.
-    codes = np.empty((len(corpus), WINDOW_FRAMES, INPUT_DIM))
-    encoded = np.zeros(len(corpus), dtype=bool)
-
     trace: list[EpochMetrics] = []
     for epoch in range(cfg.rnn_epochs):
         val_rows, train_rows = plan.epoch_draw(epoch)
-
-        reads = val_rows if cfg.noise_aug else np.concatenate([train_rows, val_rows])
-        new = reads[~encoded[reads]]
-        codes[new] = _encode_samples(ae, corpus.read_pcm(new))
-        encoded[new] = True
-
-        if cfg.noise_aug:
-            seeds = aug_rng.integers(0, 2**63, size=len(train_rows))
-            code_seqs = np.empty((len(train_rows), WINDOW_FRAMES, INPUT_DIM))
-            for start, block in corpus.blocks(train_rows):
-                for clip, clip_seed in zip(block, seeds[start:]):
-                    clip[:] = corpus_mod.augment_noise(clip, int(clip_seed))
-                code_seqs[start:start + len(block)] = _encode_samples(ae, block)
-        else:
-            code_seqs = codes[train_rows]
-
+        seeds = aug_rng.integers(0, 2**63, size=len(train_rows)) if cfg.noise_aug else None
         losses = []
-        for seq, label in zip(code_seqs, corpus.labels[train_rows]):
+        for seq, label in zip(_corpus_codes(ae, corpus, train_rows, seeds),
+                              corpus.labels[train_rows]):
             grads, loss = _backward_codes(params, seq, one_hot(label))
             losses.append(loss)
             clip_gradients(grads, GRAD_CLIP_NORM)
             adagrad_step(tensors, grads, state)
-        epoch_loss = float(np.mean(losses)) if losses else 0.0
+        epoch_loss = float(np.mean(losses))
         if not math.isfinite(epoch_loss):
             raise DivergedLoss(f"epoch {epoch}: training loss became {epoch_loss}")
-
-        _, scores = _forward_codes(params, codes[val_rows])
-        correct = int(np.count_nonzero(scores.argmax(axis=-1) == corpus.labels[val_rows]))
-        val_acc = correct / len(val_rows)
+        val_acc = evaluate(params, ae, corpus, val_rows).accuracy
         trace.append(EpochMetrics(epoch=epoch, train_loss=epoch_loss, val_accuracy=val_acc))
     return params, trace

@@ -254,6 +254,9 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
     increase. A uniform noise floor runs throughout. At a short period or
     a wide jitter a burst can start before the one placed ahead of it;
     the bursts then overlap, and the truth lists every onset in time order.
+    A burst that jitter pushes before 0 s is left out, and so is an exhale
+    that runs past the end; the first inhale that runs past the end stops
+    the scenario.
     """
     rng = np.random.default_rng(spec.seed)
     n = int(spec.duration * dsp.SAMPLE_RATE)
@@ -262,7 +265,7 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
 
     def place(burst: np.ndarray, t: float) -> bool:
         start = int(t * dsp.SAMPLE_RATE)
-        if start < 0 or start + burst.size > n:
+        if t < 0.0 or start + burst.size > n:
             return False
         audio[start:start + burst.size] += burst
         return True
@@ -279,12 +282,13 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
         if spec.kind == "arrest" and t_in >= spec.onset:
             break
         inhale = _breath_burst("inhale", rng, peak=rng.uniform(0.3, 0.8))
-        if not place(inhale, t_in):
-            break
-        onsets.append((t_in, "inhale"))
-        if prev_inhale is not None:
-            prev_gap = t_in - prev_inhale
-        prev_inhale = t_in
+        if t_in >= 0.0:  # an inhale that jitter pushes before 0 s is left out
+            if not place(inhale, t_in):
+                break
+            onsets.append((t_in, "inhale"))
+            if prev_inhale is not None:
+                prev_gap = t_in - prev_inhale
+            prev_inhale = t_in
 
         ex_t = t_in + inhale.size / dsp.SAMPLE_RATE + rng.uniform(0.05, 0.15)
         if spec.kind != "arrest" or ex_t < spec.onset:

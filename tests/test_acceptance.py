@@ -76,7 +76,7 @@ def desk_model(tmp_path_factory) -> DeskModel:
     elapsed = time.perf_counter() - started
 
     rows = make_split(corpus, DESK_SEED).test_rows
-    metrics = rnn_mod.evaluate(rnn_params, ae_params, corpus.clips(rows), corpus.labels[rows])
+    metrics = rnn_mod.evaluate(rnn_params, ae_params, corpus, rows)
     bundle_path = root / "desk.bsm"
     save_model(ModelBundle(ae=ae_params, rnn=rnn_params,
                            metadata={"seed": str(DESK_SEED)}), bundle_path)

@@ -73,8 +73,8 @@ def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir, des
     metrics = json.loads(done.stdout.splitlines()[-1])
 
     monitor_frames, corpus_frames = 24, 3 * 140 * 16
-    # train-rnn encodes the rows the epoch reads unaugmented (its validation
-    # clips), then the epoch's noise-augmented training clips
+    # train-rnn encodes the epoch's noise-augmented training clips, then
+    # scores its validation clips, encoded plain
     plan = make_split(desk_corpus, 1)
     val_rows, train_rows = plan.epoch_draw(0)
     reencode_frames = 16 * (len(val_rows) + len(train_rows))

@@ -77,11 +77,12 @@ def test_every_row_is_the_wav_data_and_converts_bit_equal_to_load_wav(desk_corpu
     rows = range(len(desk_corpus))
     for start, block in desk_corpus.blocks(rows):
         assert len(block) <= CLIP_BLOCK
-        pcm = desk_corpus.read_pcm(rows[start:start + len(block)])
-        assert pcm.dtype == np.int16
-        for row, clip, stored in zip(rows[start:], block, pcm):
+        clips = desk_corpus.clips(rows[start:start + len(block)])
+        assert clips.dtype == np.float64 and np.array_equal(clips, block)
+        for row, clip in zip(rows[start:], block):
             clip_id = desk_corpus.ids[row]
-            assert np.array_equal(stored, dsp.read_pcm(desk_corpus_dir / clip_id)), clip_id
+            pcm = dsp.read_pcm(desk_corpus_dir / clip_id)
+            assert np.array_equal(clip * 32768.0, pcm), clip_id  # the WAV data, scaled exactly
             samples = dsp.load_wav(desk_corpus_dir / clip_id).samples
             assert clip.tobytes() == samples.tobytes(), clip_id
 
@@ -109,10 +110,10 @@ def test_load_decodes_nothing_until_rows_are_asked_for(tmp_path, monkeypatch):
     corpus = load_corpus(tmp_path)
     assert len(corpus) == 28 and len(corpus.load_errors) == 2 and read == []
     rows = np.array([27, 0, 13])
-    pcm = corpus.read_pcm(rows)
+    clips = corpus.clips(rows)
     assert read == [corpus.ids[row] for row in rows]
-    for row, stored in zip(rows, pcm):
-        assert np.array_equal(stored, read_pcm(tmp_path / corpus.ids[row]))
+    for row, clip in zip(rows, clips):
+        assert np.array_equal(clip * 32768.0, read_pcm(tmp_path / corpus.ids[row]))
 
 
 def test_wrong_length_clip_is_reported(tmp_path):

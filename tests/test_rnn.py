@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breathsentinel import dsp, rnn
+from breathsentinel import rnn
 from breathsentinel.autoencoder import init_ae
 from breathsentinel.config import RunConfig
-from breathsentinel.corpus import make_split
+from breathsentinel.corpus import CLIP_BLOCK, make_split
 from breathsentinel.errors import EmptyEvalSet
 from helpers import grad_check
 
@@ -106,19 +106,18 @@ def test_batched_windows_match_row_by_row_calls(hidden):
         assert np.argmax(scores[i]) == np.argmax(scores_i), i
 
 
-def test_evaluate_matches_a_per_clip_loop():
+def test_evaluate_matches_a_per_clip_loop(desk_corpus):
     params, ae = rnn.init_rnn(13), init_ae(13)
-    rng = np.random.default_rng(14)
-    samples = rng.uniform(-0.5, 0.5, (30, dsp.CLIP_SAMPLES))
-    labels = rng.integers(0, 3, size=30)
+    rows = np.random.default_rng(14).choice(len(desk_corpus), size=30, replace=False)
+    labels = desk_corpus.labels[rows]
     predicted = []
-    for clip in samples:
+    for clip in desk_corpus.clips(rows):
         codes = rnn._encode_samples(ae, clip[np.newaxis])[0]
         predicted.append(int(np.argmax(rnn._forward_codes(params, codes)[1])))
     confusion = np.zeros((3, 3), dtype=np.int64)
     for truth, pred in zip(labels, predicted):
         confusion[truth, pred] += 1
-    m = rnn.evaluate(params, ae, samples, labels)
+    m = rnn.evaluate(params, ae, desk_corpus, rows)
     assert np.array_equal(m.confusion, confusion)
     assert m.accuracy == np.trace(confusion) / 30
 
@@ -249,10 +248,9 @@ def test_class_absent_from_truth_and_predictions_scores_zero_f1():
     assert m.confusion.tolist() == [[1, 1, 0], [0, 2, 0], [0, 0, 0]]
 
 
-def test_evaluate_refuses_empty_set():
+def test_evaluate_refuses_empty_set(desk_corpus):
     with pytest.raises(EmptyEvalSet):
-        rnn.evaluate(rnn.init_rnn(0), init_ae(0), np.zeros((0, dsp.CLIP_SAMPLES)),
-                     np.zeros(0, dtype=np.intp))
+        rnn.evaluate(rnn.init_rnn(0), init_ae(0), desk_corpus, np.zeros(0, dtype=np.intp))
 
 
 # --- training plumbing ---
@@ -267,7 +265,7 @@ def test_train_zero_epochs_returns_initialized(desk_corpus):
 
 
 def test_validation_draw_changes_between_epochs(desk_corpus):
-    from breathsentinel.corpus import make_split
+    from breathsentinel.corpus import CLIP_BLOCK, make_split
     plan = make_split(desk_corpus, 5)
     v0, t0 = plan.epoch_draw(0)
     v1, t1 = plan.epoch_draw(1)
@@ -285,31 +283,21 @@ def test_short_training_is_deterministic(desk_corpus):
         assert np.array_equal(getattr(p1, name), getattr(p2, name))
 
 
-def test_int16_pcm_encodes_as_its_float64_samples():
-    rng = np.random.default_rng(4)
-    pcm = rng.integers(-2**15, 2**15, (20, dsp.CLIP_SAMPLES), dtype=np.int16)
-    ae = init_ae(1)
-    codes = rnn._encode_samples(ae, pcm)
-    assert np.array_equal(codes, rnn._encode_samples(ae, dsp.pcm_samples(pcm)))
-
-
 @pytest.mark.parametrize("noise_aug", [True, False])
-def test_training_encodes_each_pool_row_once_and_only_rows_it_reads(desk_corpus, monkeypatch,
-                                                                   noise_aug):
+def test_each_epoch_encodes_its_training_then_validation_rows_in_blocks(desk_corpus,
+                                                                       monkeypatch, noise_aug):
     def key(samples):
         return hashlib.sha256(samples.tobytes()).digest()
 
     rows = range(len(desk_corpus))
     row_of = {key(clip): row for row, clip in zip(rows, desk_corpus.clips(rows))}
     assert len(row_of) == len(desk_corpus)
-    encoded, augmented = [], []
+    calls = []  # one list per _encode_samples call: the corpus row of each clip, None if augmented
     encode = rnn._encode_samples
 
     def recording(ae, clips):
-        samples = dsp.pcm_samples(clips) if clips.dtype == np.int16 else clips
-        for clip in samples:
-            row = row_of.get(key(clip))
-            (augmented if row is None else encoded).append(row)
+        assert clips.dtype == np.float64 and len(clips) <= CLIP_BLOCK
+        calls.append([row_of.get(key(clip)) for clip in clips])
         return encode(ae, clips)
 
     monkeypatch.setattr(rnn, "_encode_samples", recording)
@@ -317,10 +305,11 @@ def test_training_encodes_each_pool_row_once_and_only_rows_it_reads(desk_corpus,
     cfg = RunConfig(seed=5, rnn_epochs=epochs, noise_aug=noise_aug)
     rnn.train_rnn(desk_corpus, init_ae(0), cfg)
 
-    draws = [make_split(desk_corpus, 5).epoch_draw(epoch) for epoch in range(epochs)]
-    read = set()
-    for val, train in draws:
-        read |= set(val.tolist()) | (set() if noise_aug else set(train.tolist()))
-    assert len(encoded) == len(set(encoded)), "a pool row was encoded twice"
-    assert set(encoded) == read
-    assert len(augmented) == (sum(len(train) for _, train in draws) if noise_aug else 0)
+    expected = []
+    for epoch in range(epochs):
+        val, train = make_split(desk_corpus, 5).epoch_draw(epoch)
+        train = [None] * len(train) if noise_aug else train.tolist()
+        for block_rows in (train, val.tolist()):  # training clips, then validation clips plain
+            expected += [block_rows[start:start + CLIP_BLOCK]
+                         for start in range(0, len(block_rows), CLIP_BLOCK)]
+    assert calls == expected

@@ -144,6 +144,17 @@ def test_normal_scenario_cycle_count():
     assert 115 <= len(inhales) <= 125  # 300 s / 2.5 s = 120 +- jitter
 
 
+@pytest.mark.parametrize("seed", [4, 12, 14, 15, 16, 26, 29])
+def test_a_burst_jittered_before_zero_is_left_out_and_breathing_goes_on(seed):
+    # at these seeds an early burst lands before 0 s; only that burst is dropped
+    spec = ScenarioSpec(kind="normal", duration=30.0, onset=15.0, jitter_sd=2.0, seed=seed)
+    _, truth = gen_scenario(spec)
+    inhales = truth.times("inhale")
+    assert len(inhales) >= 9
+    assert inhales[-1] > 24.0
+    assert all(0.0 <= t < spec.duration for t, _ in truth.onsets)
+
+
 def test_cycles_alternate_inhale_exhale():
     _, truth = gen_scenario(ScenarioSpec(kind="normal", duration=60.0, onset=30.0, seed=5))
     kinds = [k for _, k in truth.onsets]
