@@ -9,9 +9,6 @@ import numpy as np
 from breathsentinel.errors import BreathSentinelError, ShapeMismatch
 from breathsentinel.synthgen import GroundTruth, gen_corpus
 
-DESK_PER_CLASS = 140
-DESK_SEED = 1234
-
 
 class NonFiniteLoss(BreathSentinelError):
     """Loss evaluated to NaN or infinity during gradient checking."""
@@ -71,4 +68,4 @@ def truth_from_csv(text: str) -> GroundTruth:
 
 def write_desk_corpus(root) -> None:
     """The tests' desk corpus: 140 clips per class at seed 1234, big enough for split plans."""
-    gen_corpus(DESK_PER_CLASS, seed=DESK_SEED, out_dir=root)
+    gen_corpus(140, seed=1234, out_dir=root)
