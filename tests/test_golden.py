@@ -12,7 +12,8 @@ up here as a byte difference.
 
 The training files hold, for `train-rnn` with and without noise
 augmentation, its stdout and exit code followed by those of `eval` on the
-bundle it wrote. Both classifiers start from one `train-ae --epochs 2
+bundle it wrote; the metadata files hold that bundle's metadata as
+sorted `key=value` lines, as `load_model` reads it back. Both classifiers start from one `train-ae --epochs 2
 --seed 5` bundle on the tests' desk corpus (140 clips per class, seed
 1234) and train for 8 epochs at seed 5. The `model,` line, which names a
 temporary path, is left out. These runs go to a child process with
@@ -38,6 +39,7 @@ from unittest import mock
 import pytest
 
 from breathsentinel import cli
+from breathsentinel.model_io import load_model
 from helpers import write_desk_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,7 +86,8 @@ def _run_one_thread(argv: list[str]) -> str:
 
 
 def training_outputs(corpus_dir: Path, workdir: Path) -> list[tuple[str, str]]:
-    """(golden file name, train-rnn then eval output) for each augmentation setting."""
+    """(golden file name, text) of the train-rnn then eval output, and of the
+    train-rnn bundle's metadata, for each augmentation setting."""
     corpus = ["--corpus", str(corpus_dir)]
     ae = workdir / "ae.bsm"
     trained_ae = _run_one_thread(["train-ae", *corpus, "--out", str(ae), "--epochs", "2",
@@ -97,6 +100,8 @@ def training_outputs(corpus_dir: Path, workdir: Path) -> list[tuple[str, str]]:
                                    "--epochs", "8", "--seed", "5", *flags])
         trained = "".join(line for line in trained.splitlines(keepends=True)
                           if not line.startswith("model,"))
+        metadata = sorted(load_model(bundle).metadata.items())
+        files.append((f"metadata_{name}.txt", "".join(f"{k}={v}\n" for k, v in metadata)))
         files.append((f"training_{name}.txt",
                       trained + _run_one_thread(["eval", *corpus, "--model", str(bundle)])))
     return files
