@@ -21,7 +21,7 @@ import numpy as np
 from .config import RunConfig
 from .dsp import FRAME_LEN, SPECTRUM_BINS
 from .errors import DivergedLoss, NonFiniteActivation
-from .optim import AdagradState, adagrad_step
+from .optim import AdagradState, Params, adagrad_step
 
 DIMS = (SPECTRUM_BINS, 256, 50, 256, SPECTRUM_BINS)
 LATENT_DIM = DIMS[2]
@@ -32,7 +32,7 @@ TENSOR_NAMES = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
 
 
 @dataclass
-class AEParams:
+class AEParams(Params):
     """Weights and biases of the reconstruction network, layer by layer."""
 
     enc_w1: np.ndarray  # (513, 256)
@@ -44,29 +44,14 @@ class AEParams:
     dec_w2: np.ndarray  # (256, 513)
     dec_b2: np.ndarray  # (513,)
 
-    def __post_init__(self):
+    def shapes(self) -> dict[str, tuple[int, ...]]:
         d0, d1, d2, d3, d4 = DIMS
-        expected = {
+        return {
             "enc_w1": (d0, d1), "enc_b1": (d1,),
             "enc_w2": (d1, d2), "enc_b2": (d2,),
             "dec_w1": (d2, d3), "dec_b1": (d3,),
             "dec_w2": (d3, d4), "dec_b2": (d4,),
         }
-        for name, shape in expected.items():
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
-
-    def to_dict(self) -> dict[str, np.ndarray]:
-        """Name -> array view of the live parameter tensors (shared, not copied)."""
-        return {name: getattr(self, name) for name in TENSOR_NAMES}
-
-    @classmethod
-    def from_dict(cls, tensors: dict[str, np.ndarray]) -> "AEParams":
-        return cls(**{name: tensors[name] for name in TENSOR_NAMES})
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .config import SEED_ENV_VAR, RunConfig, load_config
 from .corpus import Corpus, load_corpus, make_split
 from .errors import BreathSentinelError, ConfigError, CorruptModel
 from .model_io import ModelBundle, load_model, save_model
-from .rnn import evaluate, init_rnn, train_rnn
+from .rnn import WINDOW_FRAMES, evaluate, init_rnn, train_rnn
 from .stream import BreathEvent, infer_stream, match_events
 from .synthgen import MIN_PER_CLASS, ScenarioSpec, gen_corpus, gen_scenario, write_scenario
 from .vigil import Alert, run_detection
@@ -135,7 +135,7 @@ def _scenario_spec(args, cfg: RunConfig) -> ScenarioSpec:
 def cmd_train_ae(args) -> int:
     cfg = _resolve_config(args)
     corpus = _load_corpus(args, cfg)
-    spectra = np.empty((len(corpus), dsp.CLIP_SAMPLES // dsp.FRAME_LEN, dsp.SPECTRUM_BINS))
+    spectra = np.empty((len(corpus), WINDOW_FRAMES, dsp.SPECTRUM_BINS))
     for start, block in corpus.blocks(range(len(corpus))):
         spectra[start:start + len(block)] = dsp.spectra(
             block.reshape(len(block), -1, dsp.FRAME_LEN))

@@ -51,18 +51,18 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def class_counts(self) -> dict[str, int]:
-        counts = np.bincount(self.labels, minlength=len(dsp.LABELS))
-        return dict(zip(dsp.LABELS, counts.tolist()))
+    def _pcm(self, row) -> np.ndarray:
+        """The clip at `row` as its stored 16-bit PCM (dsp.read_pcm), length checked."""
+        path = self.paths[row]
+        pcm = dsp.read_pcm(path)
+        _check_length(path, pcm.size)
+        return pcm
 
     def clips(self, rows) -> np.ndarray:
         """The clips at `rows` as float64 samples, scaled as dsp.load_wav scales them."""
         samples = np.empty((len(rows), dsp.CLIP_SAMPLES))
         for out, row in zip(samples, rows):
-            path = self.paths[row]
-            pcm = dsp.read_pcm(path)
-            _check_length(path, pcm.size)
-            out[:] = dsp.pcm_samples(pcm)
+            out[:] = dsp.pcm_samples(self._pcm(row))
         return samples
 
     def blocks(self, rows) -> Iterator[tuple[int, np.ndarray]]:
@@ -71,14 +71,13 @@ class Corpus:
             yield start, self.clips(rows[start:start + CLIP_BLOCK])
 
     def fingerprint(self) -> str:
-        """sha256 over clip IDs and float64 sample data, stable across machines."""
+        """sha256 over each clip's ID, a NUL byte and its stored little-endian
+        16-bit PCM, in ID order; stable across machines."""
         digest = hashlib.sha256()
-        order = np.argsort(self.ids)
-        for start, block in self.blocks(order):
-            for row, clip in zip(order[start:], block):
-                digest.update(self.ids[row].encode("utf-8"))
-                digest.update(b"\0")
-                digest.update(clip.tobytes())
+        for row in np.argsort(self.ids):
+            digest.update(self.ids[row].encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(self._pcm(row).tobytes())
         return digest.hexdigest()
 
 

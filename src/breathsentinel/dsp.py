@@ -53,10 +53,6 @@ class AudioClip:
         if samples.size and float(np.max(np.abs(samples))) > 1.0:
             raise ValueError("samples must lie in [-1.0, 1.0]")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / SAMPLE_RATE
-
 
 def _wav_data(f, path) -> int:
     """Walk the chunks of an open WAV file and validate its format.

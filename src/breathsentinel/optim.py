@@ -1,11 +1,13 @@
-"""Adagrad updates and global-norm gradient clipping.
+"""Network parameters, Adagrad updates and global-norm gradient clipping.
 
-Parameters and gradients travel as name -> array dicts so one optimizer
-serves both networks.
+Each network's parameters are a `Params` dataclass whose fields are its
+tensors. Parameters and gradients travel as name -> array dicts in field
+order, so one optimizer serves both networks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -14,6 +16,38 @@ import numpy as np
 from .errors import ShapeMismatch
 
 EPSILON = 1e-8  # keeps the first steps finite where an accumulator is still zero
+
+
+@dataclass
+class Params:
+    """A network's tensors, one float64 array per dataclass field.
+
+    A subclass declares the fields and `shapes()`, the shape each field
+    must have. Construction makes every field a contiguous float64 array
+    and raises ValueError for a wrong shape or a non-finite value.
+    """
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        raise NotImplementedError
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            setattr(self, field.name,
+                    np.ascontiguousarray(getattr(self, field.name), dtype=np.float64))
+        for name, shape in self.shapes().items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite values")
+
+    def to_dict(self) -> dict[str, np.ndarray]:
+        """Name -> array view of the live parameter tensors (shared, not copied), in field order."""
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, tensors: dict[str, np.ndarray]):
+        return cls(**{field.name: tensors[field.name] for field in dataclasses.fields(cls)})
 
 
 @dataclass

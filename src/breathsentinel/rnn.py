@@ -26,21 +26,20 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import dsp
-from .autoencoder import AEParams, _glorot, _sigmoid, encode_batch
+from .autoencoder import LATENT_DIM, AEParams, _glorot, _sigmoid, encode_batch
 from .config import RunConfig
 from .errors import DivergedLoss, EmptyEvalSet, NonFiniteActivation
-from .optim import AdagradState, adagrad_step, clip_gradients
+from .optim import AdagradState, Params, adagrad_step, clip_gradients
 
 N_CLASSES = len(dsp.LABELS)
-INPUT_DIM = 50
 HIDDEN_DEFAULT = RunConfig.rnn_hidden
-WINDOW_FRAMES = 16
+WINDOW_FRAMES = dsp.CLIP_SAMPLES // dsp.FRAME_LEN  # one clip per window
 GRAD_CLIP_NORM = 5.0
 TENSOR_NAMES = ("w_xh", "w_hh", "b_h", "w_hy", "b_y")
 
 
 @dataclass
-class RNNParams:
+class RNNParams(Params):
     """Recurrent classifier weights; hidden size is read from the shapes."""
 
     w_xh: np.ndarray  # (50, hidden)
@@ -49,39 +48,21 @@ class RNNParams:
     w_hy: np.ndarray  # (hidden, 3)
     b_y: np.ndarray   # (3,)
 
-    def __post_init__(self):
-        for name in TENSOR_NAMES:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
-        hidden = self.w_hh.shape[0]
-        expected = {
-            "w_xh": (INPUT_DIM, hidden), "w_hh": (hidden, hidden), "b_h": (hidden,),
-            "w_hy": (hidden, N_CLASSES), "b_y": (N_CLASSES,),
-        }
-        for name, shape in expected.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        hidden = self.hidden
+        return {"w_xh": (LATENT_DIM, hidden), "w_hh": (hidden, hidden), "b_h": (hidden,),
+                "w_hy": (hidden, N_CLASSES), "b_y": (N_CLASSES,)}
 
     @property
     def hidden(self) -> int:
         return self.w_hh.shape[0]
-
-    def to_dict(self) -> dict[str, np.ndarray]:
-        """Name -> array view of the live parameter tensors (shared, not copied)."""
-        return {name: getattr(self, name) for name in TENSOR_NAMES}
-
-    @classmethod
-    def from_dict(cls, tensors: dict[str, np.ndarray]) -> "RNNParams":
-        return cls(**{name: tensors[name] for name in TENSOR_NAMES})
 
 
 def init_rnn(seed, hidden: int = HIDDEN_DEFAULT) -> RNNParams:
     """Fan-balanced uniform weights, zero biases, zero initial hidden state."""
     rng = np.random.default_rng(seed)
     return RNNParams(
-        w_xh=_glorot(rng, INPUT_DIM, hidden),
+        w_xh=_glorot(rng, LATENT_DIM, hidden),
         w_hh=_glorot(rng, hidden, hidden),
         b_h=np.zeros(hidden),
         w_hy=_glorot(rng, hidden, N_CLASSES),
@@ -201,7 +182,7 @@ class EvalMetrics:
 def _encode_samples(ae: AEParams, clips: np.ndarray) -> np.ndarray:
     """(n_clips, 16384) float64 clips -> (n_clips, 16, 50) latent codes, one encoder product."""
     spectra = dsp.spectra(clips.reshape(-1, dsp.FRAME_LEN))
-    return encode_batch(ae, spectra).reshape(-1, WINDOW_FRAMES, INPUT_DIM)
+    return encode_batch(ae, spectra).reshape(-1, WINDOW_FRAMES, LATENT_DIM)
 
 
 def _corpus_codes(ae: AEParams, corpus: "corpus_mod.Corpus", rows,
@@ -212,7 +193,7 @@ def _corpus_codes(ae: AEParams, corpus: "corpus_mod.Corpus", rows,
     corpus.CLIP_BLOCK at a time. With `noise_seeds`, one per row, each
     clip is first noise-augmented with its seed.
     """
-    codes = np.empty((len(rows), WINDOW_FRAMES, INPUT_DIM))
+    codes = np.empty((len(rows), WINDOW_FRAMES, LATENT_DIM))
     for start, block in corpus.blocks(rows):
         if noise_seeds is not None:
             for clip, seed in zip(block, noise_seeds[start:]):

@@ -92,13 +92,7 @@ class Debouncer:
         self._run_label: str | None = None
         self._run_len = 0
         self._run_first_end = 0.0
-        self._run_emitted = False
         self._last_event: dict[str, float] = {}
-
-    def _reset_run(self) -> None:
-        self._run_label = None
-        self._run_len = 0
-        self._run_emitted = False
 
     def push(self, pred: PredictionFrame) -> BreathEvent | None:
         if self._last_time is not None and pred.end_time <= self._last_time:
@@ -107,18 +101,18 @@ class Debouncer:
         self._last_time = pred.end_time
 
         if pred.label not in BREATH_KINDS or pred.confidence < self.confidence:
-            self._reset_run()
+            self._run_label = None
+            self._run_len = 0
             return None
         if pred.label != self._run_label:
             self._run_label = pred.label
             self._run_len = 1
             self._run_first_end = pred.end_time
-            self._run_emitted = False
         else:
             self._run_len += 1
 
-        if self._run_len >= self.run_length and not self._run_emitted:
-            self._run_emitted = True
+        # a run grows by one per prediction, so it reaches run_length exactly once
+        if self._run_len == self.run_length:
             event_time = self._run_first_end - WINDOW_SECONDS
             last = self._last_event.get(pred.label)
             if last is None or event_time - last >= self.refractory:

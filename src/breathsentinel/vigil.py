@@ -225,7 +225,7 @@ def run_detection(predictions: Iterable[PredictionFrame],
     debouncer = Debouncer(cfg.confidence, cfg.run_length, cfg.refractory)
     series = IntervalSeries(cfg.interval_window)
     confirmation_lag = WINDOW_SECONDS + (cfg.run_length - 1) * FRAME_SECONDS
-    armed = {"arrest": True, "trend": True}
+    trend_armed = arrest_armed = True
     for pred in predictions:
         event = debouncer.push(pred)
         if event is not None:
@@ -233,14 +233,10 @@ def run_detection(predictions: Iterable[PredictionFrame],
             yield event
             if event.kind == "inhale":
                 alert = slope_check(series, cfg.trend_alpha)
-                if alert is not None and armed["trend"]:
-                    armed["trend"] = False
+                if alert is not None and trend_armed:
                     yield alert
-                elif alert is None:
-                    armed["trend"] = True
+                trend_armed = alert is None
         alert = arrest_check(series, pred.end_time - confirmation_lag, cfg.ci_level)
-        if alert is not None and armed["arrest"]:
-            armed["arrest"] = False
+        if alert is not None and arrest_armed:
             yield alert
-        elif alert is None:
-            armed["arrest"] = True
+        arrest_armed = alert is None

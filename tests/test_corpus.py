@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ def test_small_corpus_loads_balanced(tmp_path):
     gen_corpus(10, seed=3, out_dir=tmp_path)
     corpus = load_corpus(tmp_path)
     assert len(corpus) == 30
-    assert corpus.class_counts() == {"inhale": 10, "exhale": 10, "unknown": 10}
+    assert np.bincount(corpus.labels).tolist() == [10, 10, 10]
     assert corpus.load_errors == []
 
 
@@ -87,11 +88,22 @@ def test_every_row_is_the_wav_data_and_converts_bit_equal_to_load_wav(desk_corpu
             assert clip.tobytes() == samples.tobytes(), clip_id
 
 
-def test_fingerprint_hashes_the_float64_samples_in_id_order(desk_corpus, desk_corpus_dir):
+def wav_data_chunk(path) -> bytes:
+    """The bytes of a WAV file's 'data' chunk, found by walking its chunks."""
+    blob = Path(path).read_bytes()
+    pos = 12
+    while blob[pos:pos + 4] != b"data":
+        pos += 8 + struct.unpack_from("<I", blob, pos + 4)[0]
+    size = struct.unpack_from("<I", blob, pos + 4)[0]
+    return blob[pos + 8:pos + 8 + size]
+
+
+def test_fingerprint_hashes_the_stored_pcm_in_id_order(desk_corpus, desk_corpus_dir):
     digest = hashlib.sha256()
     for clip_id in sorted(desk_corpus.ids):
-        digest.update(clip_id.encode("utf-8") + b"\0")
-        digest.update(dsp.load_wav(desk_corpus_dir / clip_id).samples.tobytes())
+        data = wav_data_chunk(desk_corpus_dir / clip_id)
+        assert len(data) == 2 * dsp.CLIP_SAMPLES, clip_id
+        digest.update(clip_id.encode("utf-8") + b"\0" + data)
     assert desk_corpus.fingerprint() == digest.hexdigest()
 
 

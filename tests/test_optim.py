@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from breathsentinel import autoencoder, rnn
 from breathsentinel.errors import ShapeMismatch
 from breathsentinel.optim import AdagradState, adagrad_step, clip_gradients
 from helpers import NonFiniteLoss, grad_check
@@ -125,3 +128,37 @@ def test_grad_check_sampled_subset():
     err = grad_check(_quadratic, params, analytic, sample=10,
                      rng=np.random.default_rng(9))
     assert err <= 1e-7
+
+
+# --- network parameters ---
+
+NETWORKS = [(autoencoder.AEParams, autoencoder.TENSOR_NAMES, autoencoder.init_ae),
+            (rnn.RNNParams, rnn.TENSOR_NAMES, rnn.init_rnn)]
+
+
+@pytest.mark.parametrize("cls, names, init", NETWORKS)
+def test_params_follow_the_stored_tensor_order(cls, names, init):
+    # to_dict, from_dict and the optimizer walk the fields; .bsm files store TENSOR_NAMES' order
+    assert tuple(field.name for field in dataclasses.fields(cls)) == names
+    params = init(0)
+    tensors = params.to_dict()
+    assert tuple(tensors) == names
+    assert all(tensors[name] is getattr(params, name) for name in names)
+    assert cls.from_dict(tensors).to_dict().keys() == tensors.keys()
+
+
+@pytest.mark.parametrize("cls, names, init", NETWORKS)
+def test_params_hold_contiguous_finite_float64_tensors_of_their_shapes(cls, names, init):
+    tensors = {name: np.asfortranarray(arr.astype(np.float32))
+               for name, arr in init(0).to_dict().items()}
+    params = cls.from_dict(tensors)
+    for name in names:
+        arr = getattr(params, name)
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+    for name in names:
+        bad = dict(tensors, **{name: np.append(tensors[name], 0.0)})
+        with pytest.raises(ValueError, match="must have shape"):  # w_hh sets the hidden size
+            cls.from_dict(bad)
+        bad = dict(tensors, **{name: np.full_like(tensors[name], np.nan)})
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            cls.from_dict(bad)
