@@ -1,13 +1,18 @@
-"""Malformed model bundles, WAV files, config files and raw PCM must end as a
-typed error, never a traceback.
+"""Malformed model bundles, WAV files, config files, raw PCM and corpus
+directories must end as a typed error, never a traceback.
 
-Every case runs through ``cli.main(["monitor", ...])`` and must give exit
-0, or exit 1 with an ``error:`` line on stderr. Any other exception
-escapes ``cli.main`` and fails the test.
+The bundle, WAV, config and PCM cases run through
+``cli.main(["monitor", ...])`` and must give exit 0, or exit 1 with an
+``error:`` line on stderr. The corpus cases run ``train-ae``, ``train-rnn``
+and ``eval`` on mutated copies of the desk corpus; each must give exit 0,
+or exit 1 with exactly one ``error:`` line, and every bundle they write
+must round-trip through ``load_model`` and ``save_model`` byte for byte.
+Any other exception escapes ``cli.main`` and fails the test.
 """
 
 import contextlib
 import io
+import shutil
 import struct
 import sys
 from unittest import mock
@@ -19,7 +24,7 @@ from hypothesis import strategies as st
 
 from breathsentinel import cli, dsp
 from breathsentinel.autoencoder import init_ae
-from breathsentinel.model_io import TENSOR_ORDER, ModelBundle, save_model
+from breathsentinel.model_io import TENSOR_ORDER, ModelBundle, load_model, save_model
 from breathsentinel.rnn import init_rnn
 
 FUZZ = settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -140,3 +145,96 @@ def test_mutated_config_ends_in_a_typed_error(workdir, data):
     cfg.write_bytes(data.draw(mutations(CONFIG, range(len(CONFIG)))))
     code, err = _monitor(workdir / "valid.bsm", str(workdir / "short.wav"), "--config", str(cfg))
     assert code == 0 or (code == 1 and err.startswith("error: ")), (code, err)
+
+
+# --- the training path ---
+
+TRAINING = ["--epochs", "1", "--seed", "3"]
+WAV_RATE_OFFSET = 24  # the sample rate field of the canonical 44-byte header
+
+
+def _cut(path, rng, fields) -> None:
+    """Cut the file short, at one of the offsets in `fields` or anywhere, evenly often."""
+    data = path.read_bytes()
+    cut = rng.choice(fields) if rng.integers(2) else rng.integers(0, len(data))
+    path.write_bytes(data[:int(cut)])
+
+
+def _cut_wav(path, rng) -> None:
+    _cut(path, rng, range(WAV_HEADER_BYTES))
+
+
+def _wrong_rate(path, rng) -> None:
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, WAV_RATE_OFFSET, int(rng.choice([8000, 16000, 44100])))
+    path.write_bytes(bytes(data))
+
+
+def _wrong_length(path, rng) -> None:
+    count = dsp.CLIP_SAMPLES + int(rng.choice([-dsp.FRAME_LEN, -1, 1, dsp.FRAME_LEN]))
+    dsp.write_wav(path, rng.uniform(-0.5, 0.5, count))
+
+
+WAV_MUTATIONS = {"truncated_wavs": _cut_wav, "wrong_rate_wavs": _wrong_rate,
+                 "wrong_length_wavs": _wrong_length}
+MUTATED_WAVS = 3  # leaves 417 of the desk corpus's 420 clips, above the 400 a split needs
+# exit codes of train-ae, train-rnn and eval
+TRAINING_CASES = {**{name: (0, 0, 0) for name in WAV_MUTATIONS},
+                  "empty_class_directory": (1, 1, 1), "file_for_class_directory": (1, 1, 1),
+                  "cut_train_ae_bundle": (0, 1, 1), "cut_train_rnn_bundle": (0, 0, 1)}
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _assert_round_trips(bundle, tmp_path) -> None:
+    again = tmp_path / "again.bsm"
+    save_model(load_model(bundle), again)
+    assert again.read_bytes() == bundle.read_bytes(), bundle
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", TRAINING_CASES)
+def test_mutated_corpus_or_bundle_ends_training_in_exit_zero_or_one_error(
+        desk_corpus_dir, tmp_path, case, seed):
+    rng = np.random.default_rng([list(TRAINING_CASES).index(case), seed])
+    corpus = tmp_path / "corpus"
+    shutil.copytree(desk_corpus_dir, corpus)
+    if case in WAV_MUTATIONS:
+        wavs = sorted(corpus.rglob("*.wav"))
+        for index in rng.choice(len(wavs), MUTATED_WAVS, replace=False):
+            WAV_MUTATIONS[case](wavs[index], rng)
+    elif case == "empty_class_directory":
+        for wav in (corpus / "exhale").glob("*.wav"):
+            wav.unlink()
+    elif case == "file_for_class_directory":
+        shutil.rmtree(corpus / "unknown")
+        (corpus / "unknown").write_bytes(b"inhale_0000.wav\n")
+
+    codes = []
+
+    def run(*argv: str) -> int:
+        code, err = _cli([*argv, "--corpus", str(corpus)])
+        lines = err.splitlines()
+        assert all(line.startswith(("skipped,", "warning: ", "error: ")) for line in lines), err
+        assert sum(line.startswith("error: ") for line in lines) == code, err
+        skipped = sum(line.startswith("skipped,") for line in lines)
+        assert skipped == (MUTATED_WAVS if case in WAV_MUTATIONS else 0), err
+        codes.append(code)
+        return code
+
+    ae, classifier = tmp_path / "ae.bsm", tmp_path / "rnn.bsm"
+    if run("train-ae", "--out", str(ae), *TRAINING) == 0:
+        _assert_round_trips(ae, tmp_path)
+        if case == "cut_train_ae_bundle":
+            _cut(ae, rng, _field_bytes(ae.read_bytes()))
+    if run("train-rnn", "--model", str(ae), "--out", str(classifier), *TRAINING) == 0:
+        _assert_round_trips(classifier, tmp_path)
+        if case == "cut_train_rnn_bundle":
+            _cut(classifier, rng, _field_bytes(classifier.read_bytes()))
+    run("eval", "--model", str(classifier if classifier.exists() else ae))
+    assert tuple(codes) == TRAINING_CASES[case]

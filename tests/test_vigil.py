@@ -242,6 +242,36 @@ def test_slope_t_matches_scipy_on_random_series(seed):
         assert t == pytest.approx(ref.slope / ref.stderr, abs=1e-6)
 
 
+
+# --- chance rate of the trend alarm ---
+
+NIGHTS = 40
+NIGHT_SECONDS = 8 * 3600
+NORMAL_PERIOD = 2.5
+NORMAL_JITTER_SD = 0.1
+
+
+def test_trend_alarm_chance_rate_over_forty_normal_nights():
+    # Inhales on a 2.5 s grid, each jittered on its own as synthgen places
+    # breaths: no trend at all, so every trend alert is a chance alert. The
+    # edge rule is run_detection's: an alert is raised only after a check
+    # that found nothing. 19 alerts in 320 h is 0.059 per hour.
+    per_night = []
+    for night in range(NIGHTS):
+        n = int(NIGHT_SECONDS / NORMAL_PERIOD)
+        jitter = np.random.default_rng([night]).normal(0.0, NORMAL_JITTER_SD, n)
+        series = IntervalSeries(CFG.interval_window)
+        armed, raised = True, 0
+        for time in (np.arange(n) * NORMAL_PERIOD + jitter).tolist():
+            series.push_event(BreathEvent(time=time, kind="inhale"))
+            alert = slope_check(series, CFG.trend_alpha)
+            raised += alert is not None and armed
+            armed = alert is None
+        per_night.append(raised)
+    assert sum(per_night) == 19
+    assert sum(raised > 0 for raised in per_night) == 13
+
+
 # --- combined detection driver ---
 
 def test_run_detection_latches_arrest_once():
