@@ -18,12 +18,11 @@ from .errors import ShapeMismatch
 EPSILON = 1e-8  # keeps the first steps finite where an accumulator is still zero
 
 
-@dataclass
 class Params:
     """A network's tensors, one float64 array per dataclass field.
 
-    A subclass declares the fields and `shapes()`, the shape each field
-    must have. Construction makes every field a contiguous float64 array
+    A subclass is a dataclass that declares the fields and `shapes()`, the
+    shape each field must have. Construction makes every field a contiguous float64 array
     and raises ValueError for a wrong shape or a non-finite value.
     """
 
