@@ -3,6 +3,8 @@
 Layout is one subdirectory per class under the corpus root:
 root/{inhale,exhale,unknown}/*.wav. Clip IDs are the relative paths, so a
 corpus fingerprints and splits identically wherever it is checked out.
+A clip's content is its stored 16-bit PCM: the fingerprint hashes that,
+and the float64 samples training reads are derived from it.
 """
 
 from __future__ import annotations

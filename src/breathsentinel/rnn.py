@@ -1,9 +1,10 @@
 """Many-to-one recurrent classifier over a 2-second window of latent frames.
 
-A single tanh hidden layer (75 units by default) is unrolled across the 16
-frames of a window; three independent sigmoid outputs - inhale, exhale,
-unknown - are read from the final hidden state only. tanh keeps the
-recurrence bounded; sigmoid keeps confidences positive. Training is
+A window is one clip's 16 frames, and each frame is the compressor's
+50-value latent code. A single tanh hidden layer (75 units by default) is
+unrolled across the frames of a window; three independent sigmoid
+outputs - inhale, exhale, unknown - are read from the final hidden state
+only. tanh keeps the recurrence bounded; sigmoid keeps confidences positive. Training is
 per-class binary cross-entropy against one-hot targets with backprop
 through time, per-clip Adagrad updates, and gradient clipping as a second
 guard against blow-ups. Only the error passed back through the recurrence

@@ -13,9 +13,10 @@ up here as a byte difference.
 The training files hold, for `train-rnn` with and without noise
 augmentation, its stdout and exit code followed by those of `eval` on the
 bundle it wrote; the metadata files hold that bundle's metadata as
-sorted `key=value` lines, as `load_model` reads it back. Both classifiers start from one `train-ae --epochs 2
---seed 5` bundle on the tests' desk corpus (140 clips per class, seed
-1234) and train for 8 epochs at seed 5. The `model,` line, which names a
+sorted `key=value` lines, as `load_model` reads it back. Both
+classifiers start from one `train-ae --epochs 2 --seed 5` bundle on the
+tests' desk corpus (140 clips per class, seed 1234) and train for 8
+epochs at seed 5. The `model,` line, which names a
 temporary path, is left out. These runs go to a child process with
 OPENBLAS_NUM_THREADS=1, because the compressor's trained weights depend
 on the BLAS thread count: two threads move the second epoch's loss from
