@@ -89,13 +89,18 @@ def wav_mutations(draw, data: bytes):
     return data[:at] + struct.pack("<I", size) + data[at + 4:]
 
 
-def _monitor(model, source: str, *extra: str) -> tuple[int, str]:
+def _cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one command; stdout is dropped."""
     err = io.StringIO()
-    # overflow in a wild weight is a warning, and the NaN it leads to a typed error
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["monitor", "--model", str(model), "--input", source, *extra])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
     return code, err.getvalue()
+
+
+def _monitor(model, source: str, *extra: str) -> tuple[int, str]:
+    # overflow in a wild weight is a warning, and the NaN it leads to a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cli(["monitor", "--model", str(model), "--input", source, *extra])
 
 
 @FUZZ
@@ -182,13 +187,6 @@ MUTATED_WAVS = 3  # leaves 417 of the desk corpus's 420 clips, above the 400 a s
 TRAINING_CASES = {**{name: (0, 0, 0) for name in WAV_MUTATIONS},
                   "empty_class_directory": (1, 1, 1), "file_for_class_directory": (1, 1, 1),
                   "cut_train_ae_bundle": (0, 1, 1), "cut_train_rnn_bundle": (0, 0, 1)}
-
-
-def _cli(argv: list[str]) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue()
 
 
 def _assert_round_trips(bundle, tmp_path) -> None:
