@@ -53,7 +53,7 @@ def _resolve_config(args) -> RunConfig:
         value = getattr(args, field.name, None)
         if value is not None:
             setattr(cfg, field.name, value)
-    return cfg.validate().apply_env()
+    return cfg.apply_env().validate()
 
 
 _PATH_FLAGS = {"corpus_dir": "--corpus", "model_path": "--model"}

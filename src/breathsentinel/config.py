@@ -8,6 +8,7 @@ command-line flags, then the BREATHSENTINEL_SEED environment variable
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,9 +42,9 @@ class RunConfig:
             ("seed", 0 <= self.seed, "must be >= 0"),
             ("ae_epochs", self.ae_epochs >= 0, "must be >= 0"),
             ("ae_batch", self.ae_batch >= 1, "must be >= 1"),
-            ("ae_learning_rate", self.ae_learning_rate > 0, "must be > 0"),
+            ("ae_learning_rate", 0 < self.ae_learning_rate < math.inf, "must be finite and > 0"),
             ("rnn_epochs", self.rnn_epochs >= 0, "must be >= 0"),
-            ("rnn_learning_rate", self.rnn_learning_rate > 0, "must be > 0"),
+            ("rnn_learning_rate", 0 < self.rnn_learning_rate < math.inf, "must be finite and > 0"),
             ("rnn_hidden", self.rnn_hidden in (50, 75, 100), "must be one of 50, 75, 100"),
             ("confidence", 0.5 <= self.confidence < 1.0, "must be in [0.5, 1.0)"),
             ("run_length", 1 <= self.run_length <= 10, "must be in [1, 10]"),

@@ -93,13 +93,17 @@ def load_corpus(root) -> Corpus:
 
     No samples are decoded. Files are taken in class then file-name
     order. Bad files do not abort the scan; their errors are collected
-    with their paths. A class with no usable clip at all raises
-    EmptyClass.
+    with their paths. A root or class path that is missing or not a
+    directory, and a class with no usable clip at all, raise EmptyClass.
     """
     root = Path(root)
+    if not root.is_dir():
+        raise EmptyClass(f"corpus root {root} is missing or is not a directory")
     kept: list[tuple[int, Path]] = []
     errors: list[str] = []
     for index, label in enumerate(dsp.LABELS):
+        if not (root / label).is_dir():
+            raise EmptyClass(f"class path {root / label} is missing or is not a directory")
         for path in sorted((root / label).glob("*.wav")):
             try:
                 _check_length(path, dsp.wav_sample_count(path))

@@ -4,7 +4,8 @@ All audio is mono PCM at 8192 Hz. A clip is cut into non-overlapping
 1024-sample frames (1/8 s each); every frame goes through a four-step
 FFT and the magnitude spectrum is log-compressed into [0, 1]. Only the
 513 non-redundant bins 0..512 are kept: for a real frame, bin 1024-k
-carries the magnitude of bin k.
+carries the magnitude of bin k. Streamed input (pcm_frames) is read one
+frame per pull; input shorter than a frame raises EmptyClip at the first.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ FRAME_LEN = 1024
 FRAME_SECONDS = FRAME_LEN / SAMPLE_RATE  # 0.125, exactly representable
 CLIP_SECONDS = 2.0
 CLIP_SAMPLES = int(CLIP_SECONDS * SAMPLE_RATE)  # 16384
-NYQUIST_HZ = SAMPLE_RATE // 2
 # bins 0..512 of a real frame's spectrum; bins 513..1023 repeat 511..1
 SPECTRUM_BINS = FRAME_LEN // 2 + 1
 SPECTRA_BLOCK = 256  # frames per FFT call in spectra()
@@ -126,33 +126,26 @@ def load_wav(path) -> AudioClip:
 def pcm_frames(stream, n_bytes: float = math.inf) -> Iterator[np.ndarray]:
     """(1024,) frames in [-1, 1] from raw PCM s16le mono, read one frame at a time.
 
-    Reads 2048 bytes per frame until the stream ends or `n_bytes` are
-    used up; a trailing partial frame is dropped, as in frame_signal.
-    The first frame is read before this returns: a stream that ends
-    before one whole frame raises EmptyClip.
+    Reads min(n_bytes left, 2048) bytes per frame until the stream ends or
+    `n_bytes` are used up; a trailing partial frame is dropped, as in
+    frame_signal. A stream that ends before one whole frame raises
+    EmptyClip at the first pull.
     """
     frame_bytes = 2 * FRAME_LEN
     chunk = stream.read(min(n_bytes, frame_bytes))
     if len(chunk) < frame_bytes:
         raise EmptyClip(f"need at least {FRAME_LEN} samples, got {len(chunk) // 2}")
-    return _pcm_frames(stream, chunk, n_bytes - frame_bytes)
-
-
-def _pcm_frames(stream, chunk: bytes, n_bytes: float) -> Iterator[np.ndarray]:
-    frame_bytes = 2 * FRAME_LEN
     while len(chunk) == frame_bytes:
         yield pcm_samples(np.frombuffer(chunk, dtype="<i2"))
-        if n_bytes < frame_bytes:
-            return
         n_bytes -= frame_bytes
-        chunk = stream.read(frame_bytes)
+        chunk = stream.read(min(n_bytes, frame_bytes))
 
 
 def wav_frames(f, path) -> Iterator[np.ndarray]:
     """Frames of the 'data' chunk of an open WAV file, streamed as by pcm_frames.
 
     The header is validated before this returns; a file with less than
-    one frame of samples raises EmptyClip.
+    one frame of samples raises EmptyClip at the first pull.
     """
     return pcm_frames(f, _wav_data(f, path))
 

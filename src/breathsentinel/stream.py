@@ -3,7 +3,9 @@
 A new classifier window is evaluated every 1/8 second (hop = one frame)
 once 16 frames have arrived, so every breath is fully covered by at least
 one window. Raw window predictions are noisy around onsets; the debouncer
-turns them into single, timestamped breath events.
+turns them into single, timestamped breath events and owns their time
+base. A frame source that is too short raises EmptyClip at the first
+pull, outside the stream-position wrapper.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ class Debouncer:
     window span). A per-kind refractory interval then suppresses
     same-kind events that follow too closely, so one sustained breath
     cannot double-count.
+
+    Event times are the time base downstream. An event trails the
+    prediction that confirms it by `lag`, the window span plus the run-up
+    (2.25 s at the defaults); a clock read from predictions, such as the
+    arrest test's, subtracts `lag`, or every gap inflates by that much.
     """
 
     def __init__(self, confidence: float, run_length: int, refractory: float):
@@ -88,6 +95,7 @@ class Debouncer:
         self.confidence = confidence
         self.run_length = run_length
         self.refractory = refractory
+        self.lag = WINDOW_SECONDS + (run_length - 1) * dsp.FRAME_SECONDS
         self._last_time: float | None = None
         self._run_label: str | None = None
         self._run_len = 0

@@ -81,9 +81,6 @@ class GroundTruth:
             if k not in ("inhale", "exhale"):
                 raise ValueError(f"ground-truth kind must be inhale/exhale, got {k!r}")
 
-    def times(self, kind: str | None = None) -> list[float]:
-        return [t for t, k in self.onsets if kind is None or k == kind]
-
     def to_csv(self) -> str:
         lines = ["time_s,kind"]
         lines += [f"{t:.6f},{k}" for t, k in self.onsets]
@@ -131,6 +128,15 @@ def _breath_burst(kind: str, rng: np.random.Generator,
     return burst * (peak / top) if top > 0 else burst
 
 
+def _place(audio: np.ndarray, burst: np.ndarray, t: float) -> bool:
+    """Add `burst` to `audio` from `t` seconds on if it starts at or after 0 s and fits whole."""
+    start = int(t * dsp.SAMPLE_RATE)
+    if t < 0.0 or start + burst.size > audio.size:
+        return False
+    audio[start:start + burst.size] += burst
+    return True
+
+
 def _breath_in_context(kind: str, rng: np.random.Generator) -> np.ndarray:
     """A 2-second cut around one breath with its cycle neighbours visible.
 
@@ -141,24 +147,18 @@ def _breath_in_context(kind: str, rng: np.random.Generator) -> np.ndarray:
     near the cut center.
     """
     canvas = np.zeros(8 * dsp.SAMPLE_RATE)
-
-    def place(burst: np.ndarray, t: float) -> None:
-        start = int(t * dsp.SAMPLE_RATE)
-        if 0 <= start and start + burst.size <= canvas.size:
-            canvas[start:start + burst.size] += burst
-
     t_inhale = 4.0  # canvas seconds; cycle: inhale, short gap, exhale
     inhale = _breath_burst("inhale", rng)
     exhale = _breath_burst("exhale", rng)
     t_exhale = t_inhale + inhale.size / dsp.SAMPLE_RATE + rng.uniform(0.05, 0.15)
-    place(inhale, t_inhale)
-    place(exhale, t_exhale)
+    _place(canvas, inhale, t_inhale)
+    _place(canvas, exhale, t_exhale)
     if rng.uniform() < 0.85:  # previous cycle's exhale tail
         prev_inhale_w = rng.uniform(*_INHALE_WIDTH)
         t_prev = t_inhale - rng.uniform(2.2, 2.9) + prev_inhale_w + rng.uniform(0.05, 0.15)
-        place(_breath_burst("exhale", rng), t_prev)
+        _place(canvas, _breath_burst("exhale", rng), t_prev)
     if rng.uniform() < 0.85:  # next cycle's inhale head
-        place(_breath_burst("inhale", rng), t_inhale + rng.uniform(2.2, 2.9))
+        _place(canvas, _breath_burst("inhale", rng), t_inhale + rng.uniform(2.2, 2.9))
 
     if kind == "inhale":
         center = t_inhale + inhale.size / dsp.SAMPLE_RATE / 2.0
@@ -262,14 +262,6 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
     n = int(spec.duration * dsp.SAMPLE_RATE)
     audio = rng.uniform(-1.0, 1.0, n) * spec.noise_floor
     onsets: list[tuple[float, str]] = []
-
-    def place(burst: np.ndarray, t: float) -> bool:
-        start = int(t * dsp.SAMPLE_RATE)
-        if t < 0.0 or start + burst.size > n:
-            return False
-        audio[start:start + burst.size] += burst
-        return True
-
     grid = 2.0 + rng.uniform(0.0, 0.5)
     period = spec.base_period
     prev_inhale = None
@@ -283,7 +275,7 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
             break
         inhale = _breath_burst("inhale", rng, peak=rng.uniform(0.3, 0.8))
         if t_in >= 0.0:  # an inhale that jitter pushes before 0 s is left out
-            if not place(inhale, t_in):
+            if not _place(audio, inhale, t_in):
                 break
             onsets.append((t_in, "inhale"))
             if prev_inhale is not None:
@@ -293,7 +285,7 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
         ex_t = t_in + inhale.size / dsp.SAMPLE_RATE + rng.uniform(0.05, 0.15)
         if spec.kind != "arrest" or ex_t < spec.onset:
             exhale = _breath_burst("exhale", rng, peak=rng.uniform(0.3, 0.8))
-            if place(exhale, ex_t):
+            if _place(audio, exhale, ex_t):
                 onsets.append((ex_t, "exhale"))
 
         if decrementing:

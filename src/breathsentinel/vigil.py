@@ -8,7 +8,8 @@ index, which catches gradual slowing long before any single gap looks
 alarming. Both tests adapt to the monitored subject instead of using a
 fixed threshold. Both thresholds use Student-t quantiles, bisected on the
 closed-form CDF for integer degrees of freedom, so no statistics library
-is needed.
+is needed. Every time here is in the event time base that
+stream.Debouncer keeps.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .config import RunConfig
-from .dsp import FRAME_SECONDS
 from .errors import DomainError, NonMonotonicTime
-from .stream import WINDOW_SECONDS, BreathEvent, Debouncer, PredictionFrame
+from .stream import BreathEvent, Debouncer, PredictionFrame
 
 ARREST_MIN_INTERVALS = 5
 TREND_MIN_INTERVALS = 8
@@ -56,7 +56,6 @@ class IntervalSeries:
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
         self._intervals: deque[float] = deque(maxlen=capacity)
         self.last_breath_time: float | None = None
         self._last_inhale: float | None = None
@@ -152,7 +151,7 @@ def ols_slope_t(y: np.ndarray) -> tuple[float, float]:
     sxx = float(np.sum(xc * xc))
     b1 = float(np.sum(xc * yc)) / sxx
     sse = float(np.sum((yc - b1 * xc) ** 2))
-    se = math.sqrt(max(sse, 0.0) / (n - 2)) / math.sqrt(sxx)
+    se = math.sqrt(sse / (n - 2)) / math.sqrt(sxx)
     if se == 0.0:
         t = math.inf if b1 > 0 else (-math.inf if b1 < 0 else 0.0)
     else:
@@ -171,7 +170,7 @@ def arrest_check(series: IntervalSeries, now: float, ci_level: float) -> Alert |
     the same series alerts too.
     """
     n = len(series)
-    if n < ARREST_MIN_INTERVALS or series.last_breath_time is None:
+    if n < ARREST_MIN_INTERVALS:
         return None
     quantile = t_quantile(0.5 + ci_level / 2.0, n - 1)
     mean = series.mean
@@ -195,8 +194,7 @@ def slope_check(series: IntervalSeries, alpha: float) -> Alert | None:
     b1, t = ols_slope_t(xs)
     threshold = t_quantile(1.0 - alpha, int(xs.size) - 2)
     if t > threshold:
-        time = series.last_breath_time if series.last_breath_time is not None else 0.0
-        return Alert(kind="trend", time=time, statistic=t, threshold=threshold)
+        return Alert(kind="trend", time=series.last_breath_time, statistic=t, threshold=threshold)
     return None
 
 
@@ -208,13 +206,9 @@ def run_detection(predictions: Iterable[PredictionFrame],
     `cfg`, the interval buffer `interval_window`, the arrest test
     `ci_level` and the trend test `trend_alpha`.
 
-    Yields BreathEvent and Alert objects in detection order. All emitted
-    timestamps live in the event time base: events are anchored at their
-    accepting window's onset, which trails the confirming prediction by
-    the window span plus the run-up (2.25 s at the defaults). The arrest
-    clock is therefore also shifted into that base before the comparison;
-    mixing bases would inflate every gap by that constant and false-alarm
-    between perfectly ordinary breaths.
+    Yields BreathEvent and Alert objects in detection order, every
+    timestamp in the debouncer's event time base: the arrest clock is
+    each prediction's end time less `Debouncer.lag`.
 
     Alarms are edge-triggered episodes: a kind fires when its statistic
     crosses the threshold and stays silent until the condition clears
@@ -224,7 +218,6 @@ def run_detection(predictions: Iterable[PredictionFrame],
     """
     debouncer = Debouncer(cfg.confidence, cfg.run_length, cfg.refractory)
     series = IntervalSeries(cfg.interval_window)
-    confirmation_lag = WINDOW_SECONDS + (cfg.run_length - 1) * FRAME_SECONDS
     trend_armed = arrest_armed = True
     for pred in predictions:
         event = debouncer.push(pred)
@@ -236,7 +229,7 @@ def run_detection(predictions: Iterable[PredictionFrame],
                 if alert is not None and trend_armed:
                     yield alert
                 trend_armed = alert is None
-        alert = arrest_check(series, pred.end_time - confirmation_lag, cfg.ci_level)
+        alert = arrest_check(series, pred.end_time - debouncer.lag, cfg.ci_level)
         if alert is not None and arrest_armed:
             yield alert
         arrest_armed = alert is None

@@ -684,3 +684,12 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     a = sorted(p.read_bytes() for p in out_a.rglob("*.wav"))
     b = sorted(p.read_bytes() for p in out_b.rglob("*.wav"))
     assert a == b
+
+
+def test_env_seed_passes_the_seed_range_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BREATHSENTINEL_SEED", "-5")
+    out = tmp_path / "c"
+    assert cli.main(["synth", "corpus", "--out", str(out), "--per-class", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: seed=-5: must be >= 0"]
+    assert not out.exists()

@@ -59,6 +59,8 @@ def test_missing_equals_rejected(tmp_path):
     "ci_level=0.2",
     "rnn_hidden=64",
     "ae_learning_rate=0",
+    "ae_learning_rate=inf",
+    "rnn_learning_rate=inf",
 ])
 def test_out_of_range_values_rejected(tmp_path, line):
     path = tmp_path / "run.cfg"

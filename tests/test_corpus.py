@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -141,6 +142,27 @@ def test_empty_class_directory_raises(tmp_path):
     for path in (tmp_path / "unknown").glob("*.wav"):
         path.unlink()
     with pytest.raises(EmptyClass):
+        load_corpus(tmp_path)
+
+
+def test_missing_corpus_root_is_named(tmp_path):
+    root = tmp_path / "nowhere"
+    message = re.escape(f"corpus root {root} is missing or is not a directory")
+    with pytest.raises(EmptyClass, match=message):
+        load_corpus(root)
+    root.write_bytes(b"not a directory\n")
+    with pytest.raises(EmptyClass, match=message):
+        load_corpus(root)
+
+
+def test_file_in_place_of_a_class_directory_is_named(tmp_path):
+    gen_corpus(10, seed=6, out_dir=tmp_path)
+    for path in (tmp_path / "unknown").glob("*.wav"):
+        path.unlink()
+    (tmp_path / "unknown").rmdir()
+    (tmp_path / "unknown").write_bytes(b"inhale_0000.wav\n")
+    message = f"class path {tmp_path / 'unknown'} is missing or is not a directory"
+    with pytest.raises(EmptyClass, match=re.escape(message)):
         load_corpus(tmp_path)
 
 

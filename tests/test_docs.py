@@ -1,5 +1,6 @@
-"""The README's API list, module map and dependency line hold for the package."""
+"""The README's API list, module map, config defaults and dependency line hold for the package."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import breathsentinel
+from breathsentinel.config import RunConfig, _coerce
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "breathsentinel"
@@ -43,3 +45,16 @@ def test_importing_every_module_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_configuration_defaults_block_matches_run_config():
+    text = (ROOT / "README.md").read_text()
+    block = text[text.index("\n### Configuration\n"):].split("```")[1]
+    pairs = [token.split("=", 1) for token in block.split()]
+    keys = [key for key, _ in pairs]
+    fields = [f.name for f in dataclasses.fields(RunConfig)
+              if f.name not in ("corpus_dir", "model_path")]
+    assert sorted(keys) == sorted(fields)
+    defaults = RunConfig()
+    assert {key: _coerce(key, raw) for key, raw in pairs} == {
+        name: getattr(defaults, name) for name in fields}

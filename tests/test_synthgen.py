@@ -140,7 +140,7 @@ def test_decrement_gaps_strictly_increase_after_onset():
 def test_normal_scenario_cycle_count():
     spec = ScenarioSpec(kind="normal", duration=300.0, seed=4)
     _, truth = gen_scenario(spec)
-    inhales = truth.times("inhale")
+    inhales = [t for t, k in truth.onsets if k == "inhale"]
     assert 115 <= len(inhales) <= 125  # 300 s / 2.5 s = 120 +- jitter
 
 
@@ -149,7 +149,7 @@ def test_a_burst_jittered_before_zero_is_left_out_and_breathing_goes_on(seed):
     # at these seeds an early burst lands before 0 s; only that burst is dropped
     spec = ScenarioSpec(kind="normal", duration=30.0, onset=15.0, jitter_sd=2.0, seed=seed)
     _, truth = gen_scenario(spec)
-    inhales = truth.times("inhale")
+    inhales = [t for t, k in truth.onsets if k == "inhale"]
     assert len(inhales) >= 9
     assert inhales[-1] > 24.0
     assert all(0.0 <= t < spec.duration for t, _ in truth.onsets)
