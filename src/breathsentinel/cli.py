@@ -96,8 +96,7 @@ def _format_line(item) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth_corpus(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_synth_corpus(args, cfg: RunConfig) -> int:
     if args.per_class < MIN_PER_CLASS:
         raise ConfigError(f"--per-class={args.per_class}: must be >= {MIN_PER_CLASS}")
     gen_corpus(args.per_class, cfg.seed, args.out)
@@ -106,8 +105,7 @@ def cmd_synth_corpus(args) -> int:
     return EX_OK
 
 
-def cmd_synth_scenario(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_synth_scenario(args, cfg: RunConfig) -> int:
     spec = _scenario_spec(args, cfg)
     wav_path, truth_path = write_scenario(spec, args.out, args.truth)
     print(f"scenario,{spec.kind}")
@@ -116,14 +114,10 @@ def cmd_synth_scenario(args) -> int:
     return EX_OK
 
 
-_SCENARIO_FLAGS = ("duration", "onset", "base_period", "jitter_sd", "decrement_rate",
-                   "noise_floor")
-
-
 def _scenario_spec(args, cfg: RunConfig) -> ScenarioSpec:
     """ScenarioSpec from the scenario flags given; the others keep ScenarioSpec's defaults."""
-    given = {name: getattr(args, name) for name in _SCENARIO_FLAGS
-             if getattr(args, name) is not None}
+    given = {field.name: getattr(args, field.name) for field in dataclasses.fields(ScenarioSpec)
+             if field.name not in ("kind", "seed") and getattr(args, field.name) is not None}
     if args.kind == "normal":
         given.setdefault("duration", 300.0)
     try:
@@ -132,8 +126,7 @@ def _scenario_spec(args, cfg: RunConfig) -> ScenarioSpec:
         raise ConfigError(f"scenario: {exc}") from None
 
 
-def cmd_train_ae(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_train_ae(args, cfg: RunConfig) -> int:
     corpus = _load_corpus(args, cfg)
     spectra = np.empty((len(corpus), WINDOW_FRAMES, dsp.SPECTRUM_BINS))
     for start, block in corpus.blocks(range(len(corpus))):
@@ -162,8 +155,7 @@ def cmd_train_ae(args) -> int:
     return EX_OK
 
 
-def cmd_train_rnn(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_train_rnn(args, cfg: RunConfig) -> int:
     corpus = _load_corpus(args, cfg)
     bundle = load_model(_required_path(args, cfg, "model_path"))
     rnn_params, trace = train_rnn(corpus, bundle.ae, cfg)
@@ -197,8 +189,7 @@ def _bundle_seed(path: str, raw: str) -> int:
     raise CorruptModel(f"{path}: metadata seed={raw!r} is not a non-negative integer")
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_eval(args, cfg: RunConfig) -> int:
     bundle = _load_detector(args, cfg)
     # the split the bundle was trained on, unless a seed is given explicitly
     seed = cfg.seed
@@ -218,8 +209,7 @@ def cmd_eval(args) -> int:
     return EX_OK
 
 
-def cmd_monitor(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_monitor(args, cfg: RunConfig) -> int:
     bundle = _load_detector(args, cfg)
     if args.input == "-":
         _monitor(cfg, bundle, dsp.pcm_frames(sys.stdin.buffer))
@@ -235,8 +225,7 @@ def _monitor(cfg: RunConfig, bundle: ModelBundle, frames: Iterator[np.ndarray]) 
         print(_format_line(item), flush=True)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_simulate(args, cfg: RunConfig) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ConfigError(f"--tolerance={args.tolerance}: must be a finite number >= 0")
     bundle = _load_detector(args, cfg)
@@ -330,14 +319,14 @@ def build_parser() -> _Parser:
     sc.add_argument("--out", required=True)
     sc.add_argument("--per-class", dest="per_class", type=int, default=150)
     _add_common(sc)
-    sc.set_defaults(func=cmd_synth_corpus, command="synth")
+    sc.set_defaults(func=cmd_synth_corpus)
 
     ss = synth_sub.add_parser("scenario", help="write a continuous scenario WAV + truth CSV")
     ss.add_argument("--out", required=True)
     ss.add_argument("--truth", required=True)
     _add_scenario_flags(ss, "--kind")
     _add_common(ss)
-    ss.set_defaults(func=cmd_synth_scenario, command="synth")
+    ss.set_defaults(func=cmd_synth_scenario)
 
     ta = sub.add_parser("train-ae", help="train the spectral compressor")
     ta.add_argument("--corpus", dest="corpus_dir")
@@ -346,7 +335,7 @@ def build_parser() -> _Parser:
     ta.add_argument("--lr", dest="ae_learning_rate", type=float)
     ta.add_argument("--batch", dest="ae_batch", type=int)
     _add_common(ta)
-    ta.set_defaults(func=cmd_train_ae, command="train-ae")
+    ta.set_defaults(func=cmd_train_ae)
 
     tr = sub.add_parser("train-rnn", help="train the breath classifier on a frozen compressor")
     tr.add_argument("--corpus", dest="corpus_dir")
@@ -359,20 +348,20 @@ def build_parser() -> _Parser:
     aug.add_argument("--noise-aug", dest="noise_aug", action="store_true", default=None)
     aug.add_argument("--no-noise-aug", dest="noise_aug", action="store_false", default=None)
     _add_common(tr)
-    tr.set_defaults(func=cmd_train_rnn, command="train-rnn")
+    tr.set_defaults(func=cmd_train_rnn)
 
     ev = sub.add_parser("eval", help="discrete metrics on the isolated test split")
     ev.add_argument("--model", dest="model_path")
     ev.add_argument("--corpus", dest="corpus_dir")
     _add_common(ev)
-    ev.set_defaults(func=cmd_eval, command="eval")
+    ev.set_defaults(func=cmd_eval)
 
     mo = sub.add_parser("monitor", help="stream events and alerts from a WAV file or stdin")
     mo.add_argument("--model", dest="model_path")
     mo.add_argument("--input", required=True, help="WAV path, or '-' for raw PCM on stdin")
     _add_detection_flags(mo)
     _add_common(mo)
-    mo.set_defaults(func=cmd_monitor, command="monitor")
+    mo.set_defaults(func=cmd_monitor)
 
     si = sub.add_parser("simulate", help="run a scenario end to end and report latencies")
     si.add_argument("--model", dest="model_path")
@@ -381,7 +370,7 @@ def build_parser() -> _Parser:
     si.add_argument("--tolerance", type=float, default=1.0)
     _add_detection_flags(si)
     _add_common(si)
-    si.set_defaults(func=cmd_simulate, command="simulate")
+    si.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -390,7 +379,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EX_OK
     except BrokenPipeError:
@@ -399,10 +388,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EX_OK
-    except BreathSentinelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_RUNTIME
-    except OSError as exc:
+    except (BreathSentinelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_RUNTIME
 

@@ -32,6 +32,7 @@ SPECTRUM_BINS = FRAME_LEN // 2 + 1
 SPECTRA_BLOCK = 256  # frames per FFT call in spectra()
 
 LABELS = ("inhale", "exhale", "unknown")
+BREATH_KINDS = LABELS[:2]  # the labels that are breaths
 
 # Largest magnitude a unit-amplitude frame can produce is FRAME_LEN, so this
 # divisor is a global constant: no per-clip statistics, loudness differences

@@ -68,7 +68,7 @@ class AdagradState:
 
 
 def adagrad_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                 state: AdagradState) -> tuple[dict[str, np.ndarray], AdagradState]:
+                 state: AdagradState) -> None:
     """One Adagrad update, in place: G += g*g; p -= lr * g / (sqrt(G) + EPSILON)."""
     if set(params) != set(grads) or set(params) != set(state.accumulators):
         raise ShapeMismatch(
@@ -84,7 +84,6 @@ def adagrad_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             )
         acc += g * g
         p -= state.learning_rate * g / (np.sqrt(acc) + EPSILON)
-    return params, state
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:

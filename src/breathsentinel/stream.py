@@ -20,8 +20,6 @@ from . import dsp, rnn
 from .autoencoder import AEParams, encode
 from .errors import BreathSentinelError, OutOfOrderPrediction
 
-BREATH_KINDS = ("inhale", "exhale")
-
 WINDOW_SECONDS = rnn.WINDOW_FRAMES * dsp.FRAME_SECONDS  # 2.0
 
 
@@ -108,7 +106,7 @@ class Debouncer:
                 f"prediction at {pred.end_time} s after one at {self._last_time} s")
         self._last_time = pred.end_time
 
-        if pred.label not in BREATH_KINDS or pred.confidence < self.confidence:
+        if pred.label not in dsp.BREATH_KINDS or pred.confidence < self.confidence:
             self._run_label = None
             self._run_len = 0
             return None
@@ -157,7 +155,7 @@ def match_events(events: list[BreathEvent], truth_onsets, tolerance: float,
     event_count = len(events)
     matched = 0
     leads: list[float] = []
-    for kind in BREATH_KINDS:
+    for kind in dsp.BREATH_KINDS:
         truths = sorted(t for t, k in truth_onsets if k == kind)
         times = sorted(e.time for e in events if e.kind == kind)
         if not times or not truths:

@@ -78,8 +78,8 @@ class GroundTruth:
             if t1 <= t0:
                 raise ValueError("ground-truth times must be strictly increasing")
         for _, k in onsets:
-            if k not in ("inhale", "exhale"):
-                raise ValueError(f"ground-truth kind must be inhale/exhale, got {k!r}")
+            if k not in dsp.BREATH_KINDS:
+                raise ValueError(f"ground-truth kind must be one of {dsp.BREATH_KINDS}, got {k!r}")
 
     def to_csv(self) -> str:
         lines = ["time_s,kind"]
@@ -269,7 +269,7 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
     while True:
         t_in = grid + rng.normal(0.0, spec.jitter_sd)
         decrementing = spec.kind == "decrement" and t_in >= spec.onset
-        if decrementing and prev_inhale is not None and prev_gap is not None:
+        if decrementing and prev_gap is not None:
             t_in = max(t_in, prev_inhale + prev_gap + 0.01)
         if spec.kind == "arrest" and t_in >= spec.onset:
             break

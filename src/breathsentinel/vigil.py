@@ -68,7 +68,7 @@ class IntervalSeries:
     def intervals(self) -> np.ndarray:
         return np.asarray(self._intervals, dtype=np.float64)
 
-    def push_event(self, event: BreathEvent) -> "IntervalSeries":
+    def push_event(self, event: BreathEvent) -> None:
         if self.last_breath_time is not None and event.time <= self.last_breath_time:
             raise NonMonotonicTime(
                 f"event at {event.time} s does not advance past {self.last_breath_time} s")
@@ -81,7 +81,6 @@ class IntervalSeries:
                     self.sd = float(xs.std(ddof=1))
             self._last_inhale = event.time
         self.last_breath_time = event.time
-        return self
 
 
 def _t_cdf(t: float, df: int) -> float:

@@ -686,10 +686,35 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     assert a == b
 
 
-def test_env_seed_passes_the_seed_range_check(tmp_path, monkeypatch, capsys):
+SUBCOMMAND_ARGV = list(COMMAND_ARGV.values()) + [
+    ["synth", "scenario", "--kind", "normal", "--out", "s.wav", "--truth", "s.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=[" ".join(a[:2]) for a in SUBCOMMAND_ARGV])
+def test_env_seed_passes_the_seed_range_check(argv, tmp_path, monkeypatch, capsys):
+    # every command resolves its settings before it reads or writes anything
     monkeypatch.setenv("BREATHSENTINEL_SEED", "-5")
-    out = tmp_path / "c"
-    assert cli.main(["synth", "corpus", "--out", str(out), "--per-class", "10"]) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["error: seed=-5: must be >= 0"]
-    assert not out.exists()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed=-5: must be >= 0\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("base", [
+    ["synth", "scenario", "--kind", "arrest", "--out", "s.wav", "--truth", "s.csv"],
+    ["simulate", "--scenario", "arrest"],
+], ids=["synth scenario", "simulate"])
+def test_every_scenario_field_has_a_flag(base, monkeypatch):
+    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+    defaults = ScenarioSpec(kind="arrest", seed=RunConfig().seed)
+    for field in dataclasses.fields(ScenarioSpec):
+        if field.name in ("kind", "seed"):
+            continue
+        value = getattr(defaults, field.name) * 0.75  # in range for every field
+        flag = "--" + field.name.replace("_", "-")
+        args = cli.build_parser().parse_args(base + [flag, str(value)])
+        spec = cli._scenario_spec(args, cli._resolve_config(args))
+        assert spec == dataclasses.replace(defaults, **{field.name: value}), flag

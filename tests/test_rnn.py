@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from breathsentinel import rnn
@@ -149,8 +149,11 @@ def test_classify_tie_breaks_by_class_order():
        st.floats(min_value=0.1, max_value=3.0))
 def test_classify_invariant_under_monotone_transform(scores, power):
     base = np.array(scores)
+    transformed = base ** power  # monotone on (0,1)
+    # rounding can merge two close scores into a tie, never reorder them
+    assume(len(set(transformed.tolist())) == len(set(scores)))
     label_a, _ = rnn.classify(base)
-    label_b, _ = rnn.classify(base ** power)  # strictly monotone on (0,1)
+    label_b, _ = rnn.classify(transformed)
     assert label_a == label_b
 
 
