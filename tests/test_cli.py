@@ -686,12 +686,13 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     assert a == b
 
 
-SUBCOMMAND_ARGV = list(COMMAND_ARGV.values()) + [
-    ["synth", "scenario", "--kind", "normal", "--out", "s.wav", "--truth", "s.csv"],
-]
+SUBCOMMAND_ARGV = {
+    **COMMAND_ARGV,
+    "synth scenario": ["synth", "scenario", "--kind", "normal", "--out", "s.wav", "--truth", "s.csv"],
+}
 
 
-@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=[" ".join(a[:2]) for a in SUBCOMMAND_ARGV])
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV.values(), ids=SUBCOMMAND_ARGV.keys())
 def test_env_seed_passes_the_seed_range_check(argv, tmp_path, monkeypatch, capsys):
     # every command resolves its settings before it reads or writes anything
     monkeypatch.setenv("BREATHSENTINEL_SEED", "-5")
