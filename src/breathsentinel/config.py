@@ -48,7 +48,8 @@ class RunConfig:
             ("rnn_hidden", self.rnn_hidden in (50, 75, 100), "must be one of 50, 75, 100"),
             ("confidence", 0.5 <= self.confidence < 1.0, "must be in [0.5, 1.0)"),
             ("run_length", 1 <= self.run_length <= 10, "must be in [1, 10]"),
-            ("interval_window", 5 <= self.interval_window <= 200, "must be in [5, 200]"),
+            ("interval_window", 8 <= self.interval_window <= 200,
+             "must be in [8, 200]: the trend test needs 8 intervals"),
             ("trend_alpha", 0.0 < self.trend_alpha < 0.5, "must be in (0, 0.5)"),
             ("ci_level", 0.5 <= self.ci_level <= 0.999, "must be in [0.5, 0.999]"),
             ("refractory", 0.0 <= self.refractory <= 5.0, "must be in [0, 5] seconds"),
@@ -92,7 +93,12 @@ def _coerce(key: str, raw: str):
 
 
 def load_config(path) -> RunConfig:
-    """Parse a flat key=value file; unknown keys are rejected."""
+    """Parse a flat key=value file and range-check it."""
+    return parse_config(path).validate()
+
+
+def parse_config(path) -> RunConfig:
+    """Parse a flat key=value file; unknown keys are rejected, ranges are not checked."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -109,4 +115,4 @@ def load_config(path) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         setattr(cfg, key, _coerce(key, value))
-    return cfg.validate()
+    return cfg

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+A file operation the OS refuses stays an OSError, which names its path.
+"""
 
 
 class BreathSentinelError(Exception):
@@ -65,7 +68,7 @@ class DomainError(BreathSentinelError):
     """Statistical function called outside its valid domain."""
 
 
-# --- persistence / configuration ---
+# --- model files ---
 
 class BadMagic(BreathSentinelError):
     """Model file does not start with the expected magic bytes."""
@@ -83,9 +86,7 @@ class CorruptModel(BreathSentinelError):
     """Model file is framed correctly but its contents are invalid."""
 
 
-class IoError(BreathSentinelError):
-    """Filesystem operation failed while writing generated data."""
+# --- settings ---
 
-
-class ConfigError(BreathSentinelError):
-    """Configuration key is unknown or a value is out of range."""
+class ConfigError(BreathSentinelError, ValueError):
+    """A setting is unknown, unparseable or out of range; also a ValueError."""

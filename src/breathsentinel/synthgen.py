@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .errors import IoError
+from .errors import ConfigError
 
 SCENARIO_KINDS = ("normal", "arrest", "decrement")
 MIN_PER_CLASS = 10  # fewest clips per class gen_corpus writes
@@ -49,20 +49,20 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         for field in dataclasses.fields(self):
             if field.type == "float" and not math.isfinite(getattr(self, field.name)):
-                raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
+                raise ConfigError(f"{field.name} must be finite, got {getattr(self, field.name)}")
         if not 0.0 < self.duration <= MAX_DURATION:
-            raise ValueError(f"duration must be in (0, {MAX_DURATION:g}] s, got {self.duration}")
+            raise ConfigError(f"duration must be in (0, {MAX_DURATION:g}] s, got {self.duration}")
         if self.base_period < 1.0:
-            raise ValueError(f"base_period must be >= 1.0 s, got {self.base_period}")
+            raise ConfigError(f"base_period must be >= 1.0 s, got {self.base_period}")
         if not self.onset < self.duration:
-            raise ValueError(f"onset ({self.onset}) must be before duration ({self.duration})")
+            raise ConfigError(f"onset ({self.onset}) must be before duration ({self.duration})")
         if not 0.0 <= self.decrement_rate <= 0.2:
-            raise ValueError(f"decrement_rate must be in [0, 0.2], got {self.decrement_rate}")
+            raise ConfigError(f"decrement_rate must be in [0, 0.2], got {self.decrement_rate}")
         if self.jitter_sd < 0.0 or self.noise_floor < 0.0:
-            raise ValueError("jitter_sd and noise_floor must be non-negative")
+            raise ConfigError("jitter_sd and noise_floor must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -225,19 +225,16 @@ def gen_corpus(n_per_class: int, seed: int, out_dir) -> list[Path]:
     One clip is in memory at a time; read the corpus with load_corpus.
     """
     if n_per_class < MIN_PER_CLASS:
-        raise ValueError(f"n_per_class must be >= {MIN_PER_CLASS}, got {n_per_class}")
+        raise ConfigError(f"--per-class={n_per_class}: must be >= {MIN_PER_CLASS}")
     root = Path(out_dir)
     paths: list[Path] = []
-    try:
-        for ci, label in enumerate(dsp.LABELS):
-            class_dir = root / label
-            class_dir.mkdir(parents=True, exist_ok=True)
-            for i in range(n_per_class):
-                path = class_dir / f"{label}_{i:04d}.wav"
-                dsp.write_wav(path, gen_clip(label, seed=[seed, ci, i]).samples)
-                paths.append(path)
-    except OSError as exc:
-        raise IoError(f"writing corpus under {root}: {exc}") from exc
+    for ci, label in enumerate(dsp.LABELS):
+        class_dir = root / label
+        class_dir.mkdir(parents=True, exist_ok=True)
+        for i in range(n_per_class):
+            path = class_dir / f"{label}_{i:04d}.wav"
+            dsp.write_wav(path, gen_clip(label, seed=[seed, ci, i]).samples)
+            paths.append(path)
     return paths
 
 
@@ -300,9 +297,6 @@ def write_scenario(spec: ScenarioSpec, wav_path, truth_path) -> tuple[Path, Path
     """Render a scenario to a WAV file plus a time_s,kind ground-truth CSV."""
     clip, truth = gen_scenario(spec)
     wav_path, truth_path = Path(wav_path), Path(truth_path)
-    try:
-        dsp.write_wav(wav_path, clip.samples)
-        truth_path.write_text(truth.to_csv())
-    except OSError as exc:
-        raise IoError(f"writing scenario files: {exc}") from exc
+    dsp.write_wav(wav_path, clip.samples)
+    truth_path.write_text(truth.to_csv())
     return wav_path, truth_path

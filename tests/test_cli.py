@@ -69,6 +69,20 @@ def test_bad_config_value_exits_one(tmp_path, tiny_corpus_dir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", [[], ["--confidence", "0.99"]], ids=["file", "flag"])
+def test_a_flag_replaces_a_bad_config_file_value(flag, untrained_model, breathing_wav, tmp_path,
+                                                 capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("confidence=0.3\n")
+    code = cli.main(["monitor", "--model", str(untrained_model), "--input", str(breathing_wav),
+                     "--config", str(cfg)] + flag)
+    err = capsys.readouterr().err
+    if flag:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1 and err == "error: confidence=0.3: must be in [0.5, 1.0)\n"
+
+
 OUT_OF_RANGE = {
     "onset-after-duration": ["synth", "scenario", "--kind", "normal", "--duration", "10",
                              "--onset", "60"],
@@ -115,6 +129,28 @@ def test_out_of_range_flag_exits_one_with_one_error_line(name, tmp_path, untrain
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_scenario_error_reads_as_the_spec_states_it(tmp_path, capsys):
+    argv = OUT_OF_RANGE["onset-after-duration"] + ["--out", str(tmp_path / "s.wav"),
+                                                   "--truth", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: onset (60.0) must be before duration (10.0)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "corpus", "--per-class", "10", "--out", "{file}/corpus"],
+    ["synth", "scenario", "--kind", "normal", "--duration", "10", "--out", "{file}/s.wav",
+     "--truth", "{file}/s.csv"],
+], ids=["corpus", "scenario"])
+def test_a_refused_write_exits_one_with_the_os_error(argv, tmp_path, capsys):
+    file = tmp_path / "file"
+    file.write_text("")
+    assert cli.main([arg.format(file=file) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno "), err
+    assert str(file) in err[0] and captured.out == ""
 
 
 # --- run settings ---
@@ -225,6 +261,20 @@ def test_synth_scenario_at_a_fast_rhythm_writes_ordered_truth(tmp_path):
     assert len(times) > 2 and all(a < b for a, b in zip(times, times[1:]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "scenario", "--kind", "normal", "--duration", "30", "--out", "s.wav",
+     "--truth", "s.csv"],
+    ["simulate", "--scenario", "normal", "--duration", "45"],
+], ids=["synth scenario", "simulate"])
+def test_a_short_normal_scenario_needs_no_onset(argv, untrained_model, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "simulate":
+        argv = argv + ["--model", str(untrained_model)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 # --- training commands ---
 
 def test_train_ae_writes_bundle(tiny_corpus_dir, tmp_path):
@@ -251,6 +301,20 @@ def test_train_rnn_zero_epochs_writes_valid_bundle(desk_corpus_dir, tmp_path):
     assert "rnn_val_accuracy_final" not in bundle.metadata
     reference = init_rnn(6)
     assert np.array_equal(bundle.rnn.w_hh, reference.w_hh.astype(np.float32).astype(np.float64))
+
+
+def test_train_rnn_zero_epochs_drops_a_trained_parents_accuracy(desk_corpus_dir,
+                                                                untrained_model, tmp_path,
+                                                                capsys):
+    trained, out = tmp_path / "trained.bsm", tmp_path / "zero.bsm"
+    common = ["train-rnn", "--corpus", str(desk_corpus_dir), "--seed", "6"]
+    assert cli.main(common + ["--model", str(untrained_model), "--out", str(trained),
+                              "--epochs", "1"]) == 0
+    assert "rnn_val_accuracy_final" in load_model(trained).metadata
+    assert cli.main(common + ["--model", str(trained), "--out", str(out), "--epochs", "0"]) == 0
+    metadata = load_model(out).metadata
+    assert metadata["rnn_epochs"] == "0"
+    assert "rnn_val_accuracy_final" not in metadata
 
 
 def test_train_rnn_on_tiny_corpus_reports_corpus_too_small(tiny_corpus_dir, tmp_path,

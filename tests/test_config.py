@@ -2,6 +2,7 @@ import pytest
 
 from breathsentinel.config import SEED_ENV_VAR, RunConfig, load_config
 from breathsentinel.errors import ConfigError
+from breathsentinel.vigil import TREND_MIN_INTERVALS
 
 
 def test_defaults_mirror_detection_thresholds():
@@ -54,6 +55,7 @@ def test_missing_equals_rejected(tmp_path):
     "confidence=0.3",
     "run_length=0",
     "interval_window=3",
+    "interval_window=7",
     "trend_alpha=0.9",
     "trend_alpha=0.5",
     "ci_level=0.2",
@@ -67,6 +69,12 @@ def test_out_of_range_values_rejected(tmp_path, line):
     path.write_text(line + "\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_interval_window_floor_is_what_the_trend_test_needs():
+    RunConfig(interval_window=TREND_MIN_INTERVALS).validate()
+    with pytest.raises(ConfigError, match="trend test"):
+        RunConfig(interval_window=TREND_MIN_INTERVALS - 1).validate()
 
 
 def test_env_seed_override(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from breathsentinel import dsp, gen_clip, gen_corpus, gen_scenario, load_corpus
+from breathsentinel.errors import ConfigError
 from breathsentinel.synthgen import (
     GroundTruth,
     ScenarioSpec,
@@ -90,6 +91,12 @@ def test_too_few_per_class_rejected(tmp_path):
         gen_corpus(9, seed=0, out_dir=tmp_path)
 
 
+def test_too_few_per_class_is_a_config_error_that_writes_nothing(tmp_path):
+    with pytest.raises(ConfigError, match="per-class=5: must be >= 10"):
+        gen_corpus(5, seed=0, out_dir=tmp_path / "corpus")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- scenarios ---
 
 def test_spec_validation():
@@ -118,6 +125,12 @@ def test_spec_validation():
 def test_spec_rejects_non_finite_and_empty_scenarios(fields):
     with pytest.raises(ValueError):
         ScenarioSpec(kind="normal", **fields)
+
+
+def test_spec_errors_are_config_errors_and_value_errors():
+    with pytest.raises(ConfigError, match="duration") as caught:
+        ScenarioSpec(kind="normal", duration=-1)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_arrest_scenario_has_no_breaths_after_onset():
