@@ -27,8 +27,6 @@ DIMS = (SPECTRUM_BINS, 256, 50, 256, SPECTRUM_BINS)
 LATENT_DIM = DIMS[2]
 BIN_WEIGHTS = np.full(SPECTRUM_BINS, 2.0 / FRAME_LEN)
 BIN_WEIGHTS[[0, -1]] = 1.0 / FRAME_LEN
-TENSOR_NAMES = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
-                "dec_w1", "dec_b1", "dec_w2", "dec_b2")
 
 
 @dataclass

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,9 +18,9 @@ import numpy as np
 
 from . import dsp
 from .autoencoder import train_ae
-from .config import SEED_ENV_VAR, RunConfig, parse_config
+from .config import RunConfig, parse_config
 from .corpus import Corpus, load_corpus, make_split
-from .errors import BreathSentinelError, ConfigError, CorruptModel
+from .errors import BreathSentinelError, CorruptModel
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import WINDOW_FRAMES, evaluate, init_rnn, train_rnn
 from .stream import BreathEvent, infer_stream, match_events
@@ -32,6 +31,7 @@ EX_OK = 0
 EX_RUNTIME = 1
 EX_ALERT = 2
 EX_USAGE = 64
+MATCH_TOLERANCE = 1.0  # seconds between an aligned event and its truth onset in simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_config(args) -> RunConfig:
-    """defaults < --config file < explicit flags < BREATHSENTINEL_SEED.
+    """defaults < --config file < explicit flags.
 
     Every flag that sets a run setting stores under its RunConfig field
     name; a flag left out is None and keeps the file's or default value.
@@ -54,7 +54,7 @@ def _resolve_config(args) -> RunConfig:
         value = getattr(args, field.name, None)
         if value is not None:
             setattr(cfg, field.name, value)
-    return cfg.apply_env().validate()
+    return cfg.validate()
 
 
 _PATH_FLAGS = {"corpus_dir": "--corpus", "model_path": "--model"}
@@ -191,7 +191,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     bundle = _load_detector(args, cfg)
     # the split the bundle was trained on, unless a seed is given explicitly
     seed = cfg.seed
-    if args.seed is None and SEED_ENV_VAR not in os.environ and "seed" in bundle.metadata:
+    if args.seed is None and "seed" in bundle.metadata:
         seed = _bundle_seed(cfg.model_path, bundle.metadata["seed"])
     corpus = _load_corpus(args, cfg)
     rows = make_split(corpus, seed).test_rows
@@ -224,8 +224,6 @@ def _monitor(cfg: RunConfig, bundle: ModelBundle, frames: Iterator[np.ndarray]) 
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        raise ConfigError(f"--tolerance={args.tolerance}: must be a finite number >= 0")
     bundle = _load_detector(args, cfg)
     spec = _scenario_spec(args, cfg)
     clip, truth = gen_scenario(spec)
@@ -233,7 +231,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     alerts: list[Alert] = []
     for item in run_detection(infer_stream(bundle.ae, bundle.rnn, dsp.frame_signal(clip)), cfg):
         (events if isinstance(item, BreathEvent) else alerts).append(item)
-    report = simulate_report(spec, truth, events, alerts, tolerance=args.tolerance)
+    report = simulate_report(spec, truth, events, alerts)
     if args.report:
         Path(args.report).write_text(report)
     else:
@@ -242,13 +240,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def simulate_report(spec: ScenarioSpec, truth, events: list[BreathEvent],
-                    alerts: list[Alert], tolerance: float) -> str:
+                    alerts: list[Alert]) -> str:
     """Deterministic CSV-like detection-latency report for one scenario run.
 
     Alert latency is measured from the last ground-truth breath for arrest
     alerts and from the scenario onset for trend alerts.
     """
-    match = match_events(events, truth.onsets, tolerance=tolerance)
+    match = match_events(events, truth.onsets, tolerance=MATCH_TOLERANCE)
     last_breath = truth.onsets[-1][0] if truth.onsets else 0.0
     lines = [
         "report,simulate",
@@ -260,7 +258,7 @@ def simulate_report(spec: ScenarioSpec, truth, events: list[BreathEvent],
         f"jitter_sd_s,{spec.jitter_sd:.6f}",
         f"decrement_rate,{spec.decrement_rate:.6f}",
         f"noise_floor,{spec.noise_floor:.6f}",
-        f"tolerance_s,{tolerance:.6f}",
+        f"tolerance_s,{MATCH_TOLERANCE:.6f}",
         f"truth_breaths,{match.truth_count}",
         f"events_detected,{match.event_count}",
         f"matched,{match.matched}",
@@ -365,7 +363,6 @@ def build_parser() -> _Parser:
     si.add_argument("--model", dest="model_path")
     _add_scenario_flags(si, "--scenario")
     si.add_argument("--report", help="write the report here instead of stdout")
-    si.add_argument("--tolerance", type=float, default=1.0)
     _add_detection_flags(si)
     _add_common(si)
     si.set_defaults(func=cmd_simulate)

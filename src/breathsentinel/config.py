@@ -1,21 +1,17 @@
 """Run configuration: flat key=value files with validated ranges.
 
 Precedence, lowest to highest: built-in defaults, --config file,
-command-line flags, then the BREATHSENTINEL_SEED environment variable
-(which overrides the seed from anywhere else).
+command-line flags.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-
-SEED_ENV_VAR = "BREATHSENTINEL_SEED"
 
 
 @dataclass
@@ -57,15 +53,6 @@ class RunConfig:
         for name, ok, message in checks:
             if not ok:
                 raise ConfigError(f"{name}={getattr(self, name)}: {message}")
-        return self
-
-    def apply_env(self) -> "RunConfig":
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is not None:
-            try:
-                self.seed = int(raw)
-            except ValueError:
-                raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
         return self
 
 

@@ -4,7 +4,7 @@ Layout of format 2 (all integers unsigned 32-bit little-endian):
 
     magic "BSM1" (4 bytes)
     format version (2)
-    13 tensors in fixed order (encoder/decoder first, classifier after):
+    13 tensors in the field order of AEParams, then of RNNParams:
         rank (at most 2), then one dim per rank, then values as IEEE-754 float32
         little-endian in row-major order; the compressor's first and last
         layers are (513, 256) and (256, 513), over half spectra
@@ -26,7 +26,7 @@ writes format 2.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,8 @@ MAX_RANK = 2  # every tensor is a weight matrix or a bias vector
 V1_SHAPES = {"ae.enc_w1": (FRAME_LEN, autoencoder.DIMS[1]),
              "ae.dec_w2": (autoencoder.DIMS[3], FRAME_LEN), "ae.dec_b2": (FRAME_LEN,)}
 
-TENSOR_ORDER = tuple(f"ae.{name}" for name in autoencoder.TENSOR_NAMES) \
-    + tuple(f"rnn.{name}" for name in rnn.TENSOR_NAMES)
+TENSOR_ORDER = tuple(f"{prefix}.{f.name}" for prefix, cls in
+                     (("ae", autoencoder.AEParams), ("rnn", rnn.RNNParams)) for f in fields(cls))
 
 
 @dataclass

@@ -36,7 +36,6 @@ N_CLASSES = len(dsp.LABELS)
 HIDDEN_DEFAULT = RunConfig.rnn_hidden
 WINDOW_FRAMES = dsp.CLIP_SAMPLES // dsp.FRAME_LEN  # one clip per window
 GRAD_CLIP_NORM = 5.0
-TENSOR_NAMES = ("w_xh", "w_hh", "b_h", "w_hy", "b_y")
 
 
 @dataclass

@@ -11,6 +11,7 @@ filter-design dependency.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -227,12 +228,12 @@ def gen_corpus(n_per_class: int, seed: int, out_dir) -> list[Path]:
     if n_per_class < MIN_PER_CLASS:
         raise ConfigError(f"--per-class={n_per_class}: must be >= {MIN_PER_CLASS}")
     root = Path(out_dir)
+    for label in dsp.LABELS:  # every class directory before the first clip
+        (root / label).mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
     for ci, label in enumerate(dsp.LABELS):
-        class_dir = root / label
-        class_dir.mkdir(parents=True, exist_ok=True)
         for i in range(n_per_class):
-            path = class_dir / f"{label}_{i:04d}.wav"
+            path = root / label / f"{label}_{i:04d}.wav"
             dsp.write_wav(path, gen_clip(label, seed=[seed, ci, i]).samples)
             paths.append(path)
     return paths
@@ -293,10 +294,25 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
     return dsp.AudioClip(samples=audio), GroundTruth(onsets=tuple(sorted(onsets)))
 
 
+@contextlib.contextmanager
+def _created(path: Path):
+    """Create `path` empty, so an unwritable path fails here; remove it if the block raises."""
+    path.open("wb").close()
+    try:
+        yield
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def write_scenario(spec: ScenarioSpec, wav_path, truth_path) -> tuple[Path, Path]:
-    """Render a scenario to a WAV file plus a time_s,kind ground-truth CSV."""
-    clip, truth = gen_scenario(spec)
+    """Render a scenario to a WAV file plus a time_s,kind ground-truth CSV.
+
+    Both files are created before the scenario is rendered, and removed if any step fails.
+    """
     wav_path, truth_path = Path(wav_path), Path(truth_path)
-    dsp.write_wav(wav_path, clip.samples)
-    truth_path.write_text(truth.to_csv())
+    with _created(wav_path), _created(truth_path):
+        clip, truth = gen_scenario(spec)
+        dsp.write_wav(wav_path, clip.samples)
+        truth_path.write_text(truth.to_csv())
     return wav_path, truth_path

@@ -244,8 +244,7 @@ def test_criterion_7_statistics_oracle():
            f"quantile err {worst_q:.2e} over 1000 cases each")
 
 
-def test_criterion_8_determinism(desk_model, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+def test_criterion_8_determinism(desk_model, tmp_path, capsys):
 
     def run_twice(argv_builder, reader):
         blobs = []

@@ -41,8 +41,8 @@ def masked_sigmoid(z):
 def test_init_is_deterministic_per_seed():
     a = ae.init_ae(11)
     b = ae.init_ae(11)
-    for name in ae.TENSOR_NAMES:
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    for name, tensor in a.to_dict().items():
+        assert np.array_equal(tensor, getattr(b, name))
 
 
 def test_init_differs_between_seeds():
@@ -173,8 +173,8 @@ def test_zero_epochs_returns_initialized_params():
     frames = synthetic_frames(4)
     params, trace = ae.train_ae(frames, RunConfig(ae_epochs=0, seed=21))
     reference = ae.init_ae(21)
-    for name in ae.TENSOR_NAMES:
-        assert np.array_equal(getattr(params, name), getattr(reference, name))
+    for name, tensor in params.to_dict().items():
+        assert np.array_equal(tensor, getattr(reference, name))
     assert trace == []
 
 
@@ -195,8 +195,8 @@ def test_training_is_deterministic():
     p1, t1 = ae.train_ae(frames, cfg)
     p2, t2 = ae.train_ae(frames, cfg)
     assert t1 == t2
-    for name in ae.TENSOR_NAMES:
-        assert np.array_equal(getattr(p1, name), getattr(p2, name))
+    for name, tensor in p1.to_dict().items():
+        assert np.array_equal(tensor, getattr(p2, name))
 
 
 def test_diverged_loss_detected(monkeypatch):

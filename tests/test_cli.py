@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from breathsentinel import cli, dsp, rnn
+from breathsentinel import cli, dsp, rnn, synthgen
 from breathsentinel.autoencoder import encode_batch, init_ae
 from breathsentinel.config import RunConfig
 from breathsentinel.corpus import make_split
@@ -45,6 +45,13 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert cli.main(["eval", "--corpus", "somewhere"]) == 64
     err = capsys.readouterr().err
     assert "usage" in err
+
+
+def test_simulate_has_no_tolerance_flag(untrained_model, capsys):
+    # simulate matches events within cli.MATCH_TOLERANCE; run settings come from RunConfig
+    assert cli.main(["simulate", "--model", str(untrained_model), "--scenario", "normal",
+                     "--duration", "15", "--tolerance", "1"]) == 64
+    assert "unrecognized arguments: --tolerance 1" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -110,9 +117,6 @@ OUT_OF_RANGE = {
                                    "--duration", "-5"],
     "noise-floor-nan": ["synth", "scenario", "--kind", "normal", "--noise-floor", "nan"],
     "simulate-noise-floor-nan": ["simulate", "--scenario", "normal", "--noise-floor", "nan"],
-    "tolerance-nan": ["simulate", "--scenario", "normal", "--tolerance", "nan"],
-    "tolerance-inf": ["simulate", "--scenario", "normal", "--tolerance", "inf"],
-    "tolerance-negative": ["simulate", "--scenario", "normal", "--tolerance", "-1"],
 }
 
 
@@ -151,6 +155,32 @@ def test_a_refused_write_exits_one_with_the_os_error(argv, tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: [Errno "), err
     assert str(file) in err[0] and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "normal", "--duration", "1800", "--out", "blocker/s.wav", "--truth", "s.csv"],
+    ["--kind", "arrest", "--out", "s.wav", "--truth", "blocker/s.csv"],
+], ids=["wav", "truth"])
+def test_synth_scenario_opens_both_outputs_before_rendering(argv, tmp_path, capsys,
+                                                           monkeypatch):
+    def unexpected(spec):
+        raise AssertionError("rendered although an output cannot be written")
+
+    monkeypatch.setattr(synthgen, "gen_scenario", unexpected)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("")
+    assert cli.main(["synth", "scenario"] + argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno ") and "blocker/s." in err[0], err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
+def test_synth_corpus_writes_no_clip_when_a_class_directory_is_refused(tmp_path, capsys):
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "exhale").write_text("")
+    assert cli.main(["synth", "corpus", "--per-class", "10", "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert list(tmp_path.rglob("*.wav")) == []
 
 
 # --- run settings ---
@@ -202,8 +232,7 @@ def _resolved(argv):
 @pytest.mark.parametrize("command, flag, field, flag_value, file_value", SETTING_FLAGS,
                          ids=[f"{c}{' '.join(f)}" for c, f, *_ in SETTING_FLAGS])
 def test_setting_flag_reaches_its_field(command, flag, field, flag_value, file_value,
-                                        tmp_path, monkeypatch):
-    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+                                        tmp_path):
     base = COMMAND_ARGV[command]
     cfg = _resolved(base + flag)
     assert getattr(cfg, field) == flag_value
@@ -340,13 +369,11 @@ def test_eval_prints_metrics(desk_corpus_dir, tmp_path, capsys):
     assert "confusion_inhale," in out
 
 
-@pytest.mark.parametrize("env, flag, expected", [
-    (None, None, 7),  # the seed the bundle was trained with
-    ("3", None, 3),
-    (None, "3", 3),
-    ("4", "3", 4),  # the variable overrides the flag, as everywhere else
+@pytest.mark.parametrize("flag, expected", [
+    (None, 7),  # the seed the bundle was trained with
+    ("3", 3),
 ])
-def test_eval_splits_with_the_resolved_seed(env, flag, expected, desk_corpus_dir, tmp_path,
+def test_eval_splits_with_the_resolved_seed(flag, expected, desk_corpus_dir, tmp_path,
                                             capsys, monkeypatch):
     model = tmp_path / "seed7.bsm"
     save_model(ModelBundle(ae=init_ae(0), rnn=init_rnn(0), metadata={"seed": "7"}), model)
@@ -357,21 +384,15 @@ def test_eval_splits_with_the_resolved_seed(env, flag, expected, desk_corpus_dir
         return make_split(corpus, seed)
 
     monkeypatch.setattr(cli, "make_split", recording_split)
-    if env is None:
-        monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
-    else:
-        monkeypatch.setenv("BREATHSENTINEL_SEED", env)
     argv = ["eval", "--model", str(model), "--corpus", str(desk_corpus_dir)]
     assert cli.main(argv + (["--seed", flag] if flag else [])) == 0
     assert seeds == [expected]
 
 
 @pytest.mark.parametrize("seed", ["abc", "-3"])
-def test_eval_rejects_a_malformed_bundle_seed(seed, desk_corpus_dir, tmp_path, capsys,
-                                              monkeypatch):
+def test_eval_rejects_a_malformed_bundle_seed(seed, desk_corpus_dir, tmp_path, capsys):
     model = tmp_path / "bad_seed.bsm"
     save_model(ModelBundle(ae=init_ae(0), rnn=init_rnn(0), metadata={"seed": seed}), model)
-    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
     assert cli.main(["eval", "--model", str(model), "--corpus", str(desk_corpus_dir)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -446,7 +467,6 @@ def test_a_clip_lost_after_loading_stops_train_rnn(damage, desk_corpus_dir, desk
         return corpus
 
     monkeypatch.setattr(cli, "load_corpus", load_then_damage)
-    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
     out = tmp_path / "rnn.bsm"
     assert cli.main(["train-rnn", "--corpus", str(root), "--model", str(untrained_model),
                      "--out", str(out), "--epochs", "1", "--seed", "0"]) == 1
@@ -465,7 +485,6 @@ def test_eval_decodes_only_the_test_clips(desk_corpus_dir, desk_corpus, untraine
         return read_pcm(path)
 
     monkeypatch.setattr(dsp, "read_pcm", recording)
-    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
     argv = ["eval", "--model", str(untrained_model), "--corpus", str(desk_corpus_dir)]
     assert cli.main(argv) == 0
     test_rows = make_split(desk_corpus, 0).test_rows
@@ -738,16 +757,16 @@ def test_config_file_supplies_paths(tiny_corpus_dir, untrained_model, tmp_path, 
     assert "corpus" in capsys.readouterr().err
 
 
-def test_env_seed_overrides_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("BREATHSENTINEL_SEED", "1000")
-    out_a = tmp_path / "a"
-    cli.main(["synth", "corpus", "--out", str(out_a), "--per-class", "10", "--seed", "1"])
-    monkeypatch.delenv("BREATHSENTINEL_SEED")
-    out_b = tmp_path / "b"
-    cli.main(["synth", "corpus", "--out", str(out_b), "--per-class", "10", "--seed", "1000"])
-    a = sorted(p.read_bytes() for p in out_a.rglob("*.wav"))
-    b = sorted(p.read_bytes() for p in out_b.rglob("*.wav"))
-    assert a == b
+def test_the_environment_does_not_set_the_seed(tmp_path, monkeypatch):
+    corpora = []
+    for name, env in (("plain", None), ("env", "1000")):
+        if env is not None:
+            monkeypatch.setenv("BREATHSENTINEL_SEED", env)
+        out = tmp_path / name
+        assert cli.main(["synth", "corpus", "--out", str(out), "--per-class", "10",
+                         "--seed", "1"]) == 0
+        corpora.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.wav")})
+    assert corpora[0] == corpora[1]
 
 
 SUBCOMMAND_ARGV = {
@@ -757,11 +776,10 @@ SUBCOMMAND_ARGV = {
 
 
 @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV.values(), ids=SUBCOMMAND_ARGV.keys())
-def test_env_seed_passes_the_seed_range_check(argv, tmp_path, monkeypatch, capsys):
+def test_a_negative_seed_is_refused_before_any_io(argv, tmp_path, monkeypatch, capsys):
     # every command resolves its settings before it reads or writes anything
-    monkeypatch.setenv("BREATHSENTINEL_SEED", "-5")
     monkeypatch.chdir(tmp_path)
-    assert cli.main(argv) == 1
+    assert cli.main(argv + ["--seed", "-5"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: seed=-5: must be >= 0\n"
     assert captured.out == ""
@@ -772,8 +790,7 @@ def test_env_seed_passes_the_seed_range_check(argv, tmp_path, monkeypatch, capsy
     ["synth", "scenario", "--kind", "arrest", "--out", "s.wav", "--truth", "s.csv"],
     ["simulate", "--scenario", "arrest"],
 ], ids=["synth scenario", "simulate"])
-def test_every_scenario_field_has_a_flag(base, monkeypatch):
-    monkeypatch.delenv("BREATHSENTINEL_SEED", raising=False)
+def test_every_scenario_field_has_a_flag(base):
     defaults = ScenarioSpec(kind="arrest", seed=RunConfig().seed)
     for field in dataclasses.fields(ScenarioSpec):
         if field.name in ("kind", "seed"):

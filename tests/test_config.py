@@ -1,6 +1,6 @@
 import pytest
 
-from breathsentinel.config import SEED_ENV_VAR, RunConfig, load_config
+from breathsentinel.config import RunConfig, load_config
 from breathsentinel.errors import ConfigError
 from breathsentinel.vigil import TREND_MIN_INTERVALS
 
@@ -75,15 +75,3 @@ def test_interval_window_floor_is_what_the_trend_test_needs():
     RunConfig(interval_window=TREND_MIN_INTERVALS).validate()
     with pytest.raises(ConfigError, match="trend test"):
         RunConfig(interval_window=TREND_MIN_INTERVALS - 1).validate()
-
-
-def test_env_seed_override(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "777")
-    cfg = RunConfig(seed=1).apply_env()
-    assert cfg.seed == 777
-
-
-def test_env_seed_must_be_integer(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "seven")
-    with pytest.raises(ConfigError):
-        RunConfig().apply_env()

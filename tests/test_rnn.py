@@ -262,8 +262,8 @@ def test_train_zero_epochs_returns_initialized(desk_corpus):
     ae = init_ae(2)
     params, trace = rnn.train_rnn(desk_corpus, ae, RunConfig(rnn_epochs=0, seed=2))
     reference = rnn.init_rnn(2)
-    for name in rnn.TENSOR_NAMES:
-        assert np.array_equal(getattr(params, name), getattr(reference, name))
+    for name, tensor in params.to_dict().items():
+        assert np.array_equal(tensor, getattr(reference, name))
     assert trace == []
 
 
@@ -282,8 +282,8 @@ def test_short_training_is_deterministic(desk_corpus):
     p1, t1 = rnn.train_rnn(desk_corpus, ae, cfg)
     p2, t2 = rnn.train_rnn(desk_corpus, ae, cfg)
     assert t1 == t2
-    for name in rnn.TENSOR_NAMES:
-        assert np.array_equal(getattr(p1, name), getattr(p2, name))
+    for name, tensor in p1.to_dict().items():
+        assert np.array_equal(tensor, getattr(p2, name))
 
 
 @pytest.mark.parametrize("noise_aug", [True, False])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from breathsentinel import dsp, gen_clip, gen_corpus, gen_scenario, load_corpus
+from breathsentinel import dsp, gen_clip, gen_corpus, gen_scenario, load_corpus, synthgen
 from breathsentinel.errors import ConfigError
 from breathsentinel.synthgen import (
     GroundTruth,
@@ -200,10 +200,23 @@ def test_write_scenario_round_trip(tmp_path):
     clip = dsp.load_wav(wav_path)
     assert clip.samples.size == 90 * 8192
     truth = truth_from_csv(truth_path.read_text())
-    _, original = gen_scenario(spec)
+    rendered, original = gen_scenario(spec)
+    dsp.write_wav(tmp_path / "rendered.wav", rendered.samples)
+    assert wav_path.read_bytes() == (tmp_path / "rendered.wav").read_bytes()
+    assert truth_path.read_text() == original.to_csv()
     assert len(truth.onsets) == len(original.onsets)
     assert truth.onsets[0][1] == original.onsets[0][1]
     assert truth.onsets[0][0] == pytest.approx(original.onsets[0][0], abs=1e-6)
+
+
+def test_write_scenario_removes_both_files_when_rendering_fails(tmp_path, monkeypatch):
+    def fail(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(synthgen, "gen_scenario", fail)
+    with pytest.raises(MemoryError):
+        write_scenario(ScenarioSpec(kind="normal"), tmp_path / "s.wav", tmp_path / "s.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ground_truth_validation():
