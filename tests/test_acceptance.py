@@ -245,7 +245,6 @@ def test_criterion_7_statistics_oracle():
 
 
 def test_criterion_8_determinism(desk_model, tmp_path, capsys):
-
     def run_twice(argv_builder, reader):
         blobs = []
         for tag in ("one", "two"):
