@@ -369,12 +369,14 @@ def test_eval_prints_metrics(desk_corpus_dir, tmp_path, capsys):
     assert "confusion_inhale," in out
 
 
-@pytest.mark.parametrize("flag, expected", [
-    (None, 7),  # the seed the bundle was trained with
-    ("3", 3),
+@pytest.mark.parametrize("file_seed, flag, expected", [
+    (None, None, 7),  # the seed the bundle was trained with
+    (None, "3", 3),
+    ("5", None, 7),  # a config-file seed does not replace the bundle's
+    ("5", "3", 3),
 ])
-def test_eval_splits_with_the_resolved_seed(flag, expected, desk_corpus_dir, tmp_path,
-                                            capsys, monkeypatch):
+def test_eval_splits_with_the_resolved_seed(file_seed, flag, expected, desk_corpus_dir,
+                                            tmp_path, capsys, monkeypatch):
     model = tmp_path / "seed7.bsm"
     save_model(ModelBundle(ae=init_ae(0), rnn=init_rnn(0), metadata={"seed": "7"}), model)
     seeds = []
@@ -385,6 +387,10 @@ def test_eval_splits_with_the_resolved_seed(flag, expected, desk_corpus_dir, tmp
 
     monkeypatch.setattr(cli, "make_split", recording_split)
     argv = ["eval", "--model", str(model), "--corpus", str(desk_corpus_dir)]
+    if file_seed:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed={file_seed}\n")
+        argv += ["--config", str(config)]
     assert cli.main(argv + (["--seed", flag] if flag else [])) == 0
     assert seeds == [expected]
 
