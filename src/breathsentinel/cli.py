@@ -8,6 +8,7 @@ run with a fired alert, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -20,11 +21,11 @@ from . import dsp
 from .autoencoder import train_ae
 from .config import RunConfig, parse_config
 from .corpus import Corpus, load_corpus, make_split
-from .errors import BreathSentinelError, CorruptModel
+from .errors import BreathSentinelError, ConfigError, CorruptModel
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import WINDOW_FRAMES, evaluate, init_rnn, train_rnn
 from .stream import BreathEvent, infer_stream, match_events
-from .synthgen import ScenarioSpec, gen_corpus, gen_scenario, write_scenario
+from .synthgen import ScenarioSpec, gen_corpus, gen_scenario
 from .vigil import Alert, run_detection
 
 EX_OK = 0
@@ -88,6 +89,28 @@ def _load_detector(args, cfg: RunConfig) -> ModelBundle:
     return bundle
 
 
+@contextlib.contextmanager
+def _claimed(*paths):
+    """Claim the output files (`None` skipped) before the work of the `with` block.
+
+    Append mode: a refused path fails here and an existing file keeps its bytes.
+    If the block raises, the files created here are removed. Two outputs naming
+    one file are a ConfigError.
+    """
+    paths = [path for path in paths if path is not None]
+    if len({Path(path).resolve() for path in paths}) < len(paths):
+        raise ConfigError(f"{' and '.join(paths)} name one file; give each output its own path")
+    created = [Path(path) for path in paths if not Path(path).exists()]
+    try:
+        for path in paths:
+            open(path, "ab").close()
+        yield
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _format_line(item) -> str:
     if isinstance(item, BreathEvent):
         return f"{item.time:.3f},{item.kind}"
@@ -106,10 +129,13 @@ def cmd_synth_corpus(args, cfg: RunConfig) -> int:
 
 def cmd_synth_scenario(args, cfg: RunConfig) -> int:
     spec = _scenario_spec(args, cfg)
-    wav_path, truth_path = write_scenario(spec, args.out, args.truth)
+    with _claimed(args.out, args.truth):
+        clip, truth = gen_scenario(spec)
+        dsp.write_wav(args.out, clip.samples)
+        Path(args.truth).write_text(truth.to_csv())
     print(f"scenario,{spec.kind}")
-    print(f"wav,{wav_path}")
-    print(f"truth,{truth_path}")
+    print(f"wav,{Path(args.out)}")
+    print(f"truth,{Path(args.truth)}")
     return EX_OK
 
 
@@ -125,24 +151,25 @@ def _scenario_spec(args, cfg: RunConfig) -> ScenarioSpec:
 
 def cmd_train_ae(args, cfg: RunConfig) -> int:
     corpus = _load_corpus(args, cfg)
-    spectra = np.empty((len(corpus), WINDOW_FRAMES, dsp.SPECTRUM_BINS))
-    for start, block in corpus.blocks(range(len(corpus))):
-        spectra[start:start + len(block)] = dsp.spectra(
-            block.reshape(len(block), -1, dsp.FRAME_LEN))
-    spectra = spectra.reshape(-1, dsp.SPECTRUM_BINS)
-    ae_params, trace = train_ae(spectra, cfg)
-    bundle = ModelBundle(
-        ae=ae_params,
-        rnn=init_rnn(cfg.seed, cfg.rnn_hidden),
-        metadata={
-            "seed": str(cfg.seed),
-            "ae_epochs": str(cfg.ae_epochs),
-            "ae_loss_final": f"{trace[-1]:.10f}" if trace else "",
-            "rnn_epochs": "0",
-            "rnn_hidden": str(cfg.rnn_hidden),
-            "corpus_fingerprint": corpus.fingerprint(),
-        })
-    save_model(bundle, args.out)
+    with _claimed(args.out):
+        spectra = np.empty((len(corpus), WINDOW_FRAMES, dsp.SPECTRUM_BINS))
+        for start, block in corpus.blocks(range(len(corpus))):
+            spectra[start:start + len(block)] = dsp.spectra(
+                block.reshape(len(block), -1, dsp.FRAME_LEN))
+        spectra = spectra.reshape(-1, dsp.SPECTRUM_BINS)
+        ae_params, trace = train_ae(spectra, cfg)
+        bundle = ModelBundle(
+            ae=ae_params,
+            rnn=init_rnn(cfg.seed, cfg.rnn_hidden),
+            metadata={
+                "seed": str(cfg.seed),
+                "ae_epochs": str(cfg.ae_epochs),
+                "ae_loss_final": f"{trace[-1]:.10f}" if trace else "",
+                "rnn_epochs": "0",
+                "rnn_hidden": str(cfg.rnn_hidden),
+                "corpus_fingerprint": corpus.fingerprint(),
+            })
+        save_model(bundle, args.out)
     print(f"frames,{spectra.shape[0]}")
     print(f"ae_epochs,{cfg.ae_epochs}")
     if trace:
@@ -155,20 +182,21 @@ def cmd_train_ae(args, cfg: RunConfig) -> int:
 def cmd_train_rnn(args, cfg: RunConfig) -> int:
     corpus = _load_corpus(args, cfg)
     bundle = load_model(_required_path(args, cfg, "model_path"))
-    rnn_params, trace = train_rnn(corpus, bundle.ae, cfg)
-    metadata = dict(bundle.metadata)
-    metadata.update({
-        "seed": str(cfg.seed),
-        "rnn_epochs": str(cfg.rnn_epochs),
-        "rnn_hidden": str(cfg.rnn_hidden),
-        "noise_aug": str(cfg.noise_aug).lower(),
-        "corpus_fingerprint": corpus.fingerprint(),
-    })
-    metadata.pop("rnn_val_accuracy_final", None)  # a parent's, when no epoch ran
-    if trace:
-        metadata["rnn_val_accuracy_final"] = f"{trace[-1].val_accuracy:.6f}"
-    out_bundle = ModelBundle(ae=bundle.ae, rnn=rnn_params, metadata=metadata)
-    save_model(out_bundle, args.out)
+    with _claimed(args.out):
+        rnn_params, trace = train_rnn(corpus, bundle.ae, cfg)
+        metadata = dict(bundle.metadata)
+        metadata.update({
+            "seed": str(cfg.seed),
+            "rnn_epochs": str(cfg.rnn_epochs),
+            "rnn_hidden": str(cfg.rnn_hidden),
+            "noise_aug": str(cfg.noise_aug).lower(),
+            "corpus_fingerprint": corpus.fingerprint(),
+        })
+        metadata.pop("rnn_val_accuracy_final", None)  # a parent's, when no epoch ran
+        if trace:
+            metadata["rnn_val_accuracy_final"] = f"{trace[-1].val_accuracy:.6f}"
+        out_bundle = ModelBundle(ae=bundle.ae, rnn=rnn_params, metadata=metadata)
+        save_model(out_bundle, args.out)
     print(f"rnn_epochs,{cfg.rnn_epochs}")
     if trace:
         print(f"rnn_loss_final,{trace[-1].train_loss:.10f}")
@@ -226,16 +254,17 @@ def _monitor(cfg: RunConfig, bundle: ModelBundle, frames: Iterator[np.ndarray]) 
 def cmd_simulate(args, cfg: RunConfig) -> int:
     bundle = _load_detector(args, cfg)
     spec = _scenario_spec(args, cfg)
-    clip, truth = gen_scenario(spec)
-    events: list[BreathEvent] = []
-    alerts: list[Alert] = []
-    for item in run_detection(infer_stream(bundle.ae, bundle.rnn, dsp.frame_signal(clip)), cfg):
-        (events if isinstance(item, BreathEvent) else alerts).append(item)
-    report = simulate_report(spec, truth, events, alerts)
-    if args.report:
-        Path(args.report).write_text(report)
-    else:
-        sys.stdout.write(report)
+    with _claimed(args.report):
+        clip, truth = gen_scenario(spec)
+        events: list[BreathEvent] = []
+        alerts: list[Alert] = []
+        for item in run_detection(infer_stream(bundle.ae, bundle.rnn, dsp.frame_signal(clip)), cfg):
+            (events if isinstance(item, BreathEvent) else alerts).append(item)
+        report = simulate_report(spec, truth, events, alerts)
+        if args.report:
+            Path(args.report).write_text(report)
+        else:
+            sys.stdout.write(report)
     return EX_ALERT if alerts else EX_OK
 
 

@@ -79,11 +79,6 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"{key}={raw!r}: cannot parse as {kind}") from None
 
 
-def load_config(path) -> RunConfig:
-    """Parse a flat key=value file and range-check it."""
-    return parse_config(path).validate()
-
-
 def parse_config(path) -> RunConfig:
     """Parse a flat key=value file; unknown keys are rejected, ranges are not checked."""
     try:

@@ -11,7 +11,6 @@ filter-design dependency.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -292,27 +291,3 @@ def gen_scenario(spec: ScenarioSpec) -> tuple[dsp.AudioClip, GroundTruth]:
 
     np.clip(audio, -1.0, 1.0, out=audio)
     return dsp.AudioClip(samples=audio), GroundTruth(onsets=tuple(sorted(onsets)))
-
-
-@contextlib.contextmanager
-def _created(path: Path):
-    """Create `path` empty, so an unwritable path fails here; remove it if the block raises."""
-    path.open("wb").close()
-    try:
-        yield
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-
-
-def write_scenario(spec: ScenarioSpec, wav_path, truth_path) -> tuple[Path, Path]:
-    """Render a scenario to a WAV file plus a time_s,kind ground-truth CSV.
-
-    Both files are created before the scenario is rendered, and removed if any step fails.
-    """
-    wav_path, truth_path = Path(wav_path), Path(truth_path)
-    with _created(wav_path), _created(truth_path):
-        clip, truth = gen_scenario(spec)
-        dsp.write_wav(wav_path, clip.samples)
-        truth_path.write_text(truth.to_csv())
-    return wav_path, truth_path

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import re
@@ -6,13 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from breathsentinel import cli, dsp, rnn, synthgen
+from breathsentinel import cli, dsp, rnn
 from breathsentinel.autoencoder import encode_batch, init_ae
 from breathsentinel.config import RunConfig
 from breathsentinel.corpus import make_split
+from breathsentinel.errors import DivergedLoss
 from breathsentinel.model_io import ModelBundle, load_model, save_model
 from breathsentinel.rnn import init_rnn
 from breathsentinel.synthgen import ScenarioSpec, gen_scenario
+from helpers import truth_from_csv
 
 
 @pytest.fixture(scope="module")
@@ -157,22 +160,118 @@ def test_a_refused_write_exits_one_with_the_os_error(argv, tmp_path, capsys):
     assert str(file) in err[0] and captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["--kind", "normal", "--duration", "1800", "--out", "blocker/s.wav", "--truth", "s.csv"],
-    ["--kind", "arrest", "--out", "s.wav", "--truth", "blocker/s.csv"],
-], ids=["wav", "truth"])
-def test_synth_scenario_opens_both_outputs_before_rendering(argv, tmp_path, capsys,
-                                                           monkeypatch):
-    def unexpected(spec):
-        raise AssertionError("rendered although an output cannot be written")
+# --- output files ---
 
-    monkeypatch.setattr(synthgen, "gen_scenario", unexpected)
+# Every output file option, keyed (command, dest), with argv that points it
+# under a regular file `blocker` and the cli function that starts the work.
+BLOCKED_OUTPUTS = {
+    ("synth scenario", "out"): (["synth", "scenario", "--kind", "normal", "--duration", "1800",
+                                 "--out", "blocker/s.wav", "--truth", "s.csv"], "gen_scenario"),
+    ("synth scenario", "truth"): (["synth", "scenario", "--kind", "arrest", "--out", "s.wav",
+                                   "--truth", "blocker/s.csv"], "gen_scenario"),
+    ("train-ae", "out"): (["train-ae", "--corpus", "{corpus}", "--epochs", "20",
+                           "--out", "blocker/m.bsm"], "train_ae"),
+    ("train-rnn", "out"): (["train-rnn", "--corpus", "{corpus}", "--model", "{model}",
+                            "--out", "blocker/m.bsm"], "train_rnn"),
+    ("simulate", "report"): (["simulate", "--model", "{model}", "--scenario", "normal",
+                              "--duration", "3600", "--report", "blocker/r.csv"], "gen_scenario"),
+}
+
+
+def _output_options(parser, command=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _output_options(sub, command + (name,))
+        elif action.dest in ("out", "truth", "report"):
+            yield " ".join(command), action.dest
+
+
+def test_every_output_file_option_has_a_blocked_path_case():
+    # synth corpus --out names a directory tree, not a file
+    options = set(_output_options(cli.build_parser())) - {("synth corpus", "out")}
+    assert options == set(BLOCKED_OUTPUTS)
+
+
+@pytest.mark.parametrize("key", BLOCKED_OUTPUTS, ids=[f"{c} --{d}" for c, d in BLOCKED_OUTPUTS])
+def test_a_refused_output_stops_the_command_before_the_work(key, tiny_corpus_dir,
+                                                            untrained_model, tmp_path,
+                                                            capsys, monkeypatch):
+    argv, work = BLOCKED_OUTPUTS[key]
+
+    def unexpected(*args):
+        raise AssertionError(f"{work} ran although an output cannot be written")
+
+    monkeypatch.setattr(cli, work, unexpected)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("")
-    assert cli.main(["synth", "scenario"] + argv) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: [Errno ") and "blocker/s." in err[0], err
+    argv = [arg.format(corpus=tiny_corpus_dir, model=untrained_model) for arg in argv]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno ") and "blocker/" in err[0], err
+    assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
+def test_two_outputs_naming_one_file_exit_one_and_write_nothing(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "scenario", "--kind", "normal", "--duration", "10",
+                     "--out", "same", "--truth", "./same"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: same and ./same name one file; give each output its own path\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# (argv, the cli function that fails after the claim, what it raises, the outputs).
+# The train-ae, train-rnn and simulate rows are guards: those commands never
+# wrote an output before their work, so only the synth scenario rows are new.
+FAILING_WORK = {
+    "synth scenario": (["synth", "scenario", "--kind", "normal", "--out", "s.wav",
+                        "--truth", "s.csv"], "gen_scenario", MemoryError, ["s.wav", "s.csv"]),
+    "train-ae": (["train-ae", "--corpus", "{corpus}", "--out", "m.bsm"], "train_ae",
+                 DivergedLoss, ["m.bsm"]),
+    "train-rnn": (["train-rnn", "--corpus", "{corpus}", "--model", "{model}", "--out", "m.bsm"],
+                  "train_rnn", DivergedLoss, ["m.bsm"]),
+    "simulate": (["simulate", "--model", "{model}", "--scenario", "normal",
+                  "--report", "r.csv"], "gen_scenario", MemoryError, ["r.csv"]),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command", FAILING_WORK)
+def test_a_failure_after_the_claim_removes_only_new_outputs(command, existing, tiny_corpus_dir,
+                                                            untrained_model, tmp_path,
+                                                            capsys, monkeypatch):
+    argv, work, error, outputs = FAILING_WORK[command]
+
+    def fail(*args):
+        raise error("failed after the claim")
+
+    monkeypatch.setattr(cli, work, fail)
+    monkeypatch.chdir(tmp_path)
+    before = {name: f"{name} from an earlier run".encode() for name in outputs} if existing else {}
+    for name, data in before.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [arg.format(corpus=tiny_corpus_dir, model=untrained_model) for arg in argv]
+    if error is MemoryError:
+        with pytest.raises(MemoryError):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: failed after the claim\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_train_rnn_may_write_over_its_input_bundle(desk_corpus_dir, untrained_model, tmp_path):
+    model = tmp_path / "m.bsm"
+    model.write_bytes(untrained_model.read_bytes())
+    assert cli.main(["train-rnn", "--corpus", str(desk_corpus_dir), "--model", str(model),
+                     "--out", str(model), "--epochs", "0"]) == 0
+    metadata = load_model(model).metadata
+    assert metadata["noise_aug"] == "true" and metadata["rnn_epochs"] == "0"
 
 
 def test_synth_corpus_writes_no_clip_when_a_class_directory_is_refused(tmp_path, capsys):
@@ -270,16 +369,24 @@ def test_synth_corpus_memory_does_not_grow_with_the_corpus(tmp_path, capsys):
     assert peak_large <= 1.5 * peak_small, (peak_small, peak_large)
 
 
-def test_synth_scenario_writes_wav_and_truth(tmp_path):
-    wav, csv = tmp_path / "s.wav", tmp_path / "s.csv"
-    code = cli.main(["synth", "scenario", "--kind", "arrest", "--out", str(wav),
-                     "--truth", str(csv), "--duration", "90", "--onset", "45",
-                     "--seed", "2"])
+def test_synth_scenario_writes_wav_and_truth(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["synth", "scenario", "--kind", "arrest", "--out", "./s.wav",
+                     "--truth", "s.csv", "--duration", "90", "--onset", "45", "--seed", "8"])
     assert code == 0
+    assert capsys.readouterr().out == "scenario,arrest\nwav,s.wav\ntruth,s.csv\n"
+    wav, csv = tmp_path / "s.wav", tmp_path / "s.csv"
     assert dsp.load_wav(wav).samples.size == 90 * 8192
-    header, first = csv.read_text().splitlines()[:2]
-    assert header == "time_s,kind"
-    assert first.endswith(",inhale")
+    rendered, original = gen_scenario(ScenarioSpec(kind="arrest", duration=90.0, onset=45.0,
+                                                   seed=8))
+    dsp.write_wav(tmp_path / "rendered.wav", rendered.samples)
+    assert wav.read_bytes() == (tmp_path / "rendered.wav").read_bytes()
+    assert csv.read_text() == original.to_csv()
+    truth = truth_from_csv(csv.read_text())
+    assert len(truth.onsets) == len(original.onsets)
+    assert truth.onsets[0][1] == original.onsets[0][1] == "inhale"
+    assert truth.onsets[0][0] == pytest.approx(original.onsets[0][0], abs=1e-6)
+    assert csv.read_text().splitlines()[0] == "time_s,kind"
 
 
 def test_synth_scenario_at_a_fast_rhythm_writes_ordered_truth(tmp_path):

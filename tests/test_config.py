@@ -1,6 +1,6 @@
 import pytest
 
-from breathsentinel.config import RunConfig, load_config
+from breathsentinel.config import RunConfig, parse_config
 from breathsentinel.errors import ConfigError
 from breathsentinel.vigil import TREND_MIN_INTERVALS
 
@@ -17,7 +17,7 @@ def test_defaults_mirror_detection_thresholds():
 def test_load_simple_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nseed = 9\nrnn_epochs=5\nnoise_aug=false\n\n")
-    cfg = load_config(path)
+    cfg = parse_config(path).validate()
     assert cfg.seed == 9
     assert cfg.rnn_epochs == 5
     assert cfg.noise_aug is False
@@ -27,28 +27,28 @@ def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("learning_speed=0.1\n")
     with pytest.raises(ConfigError, match="unknown key"):
-        load_config(path)
+        parse_config(path).validate()
 
 
 def test_unparseable_value_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed=fast\n")
     with pytest.raises(ConfigError):
-        load_config(path)
+        parse_config(path).validate()
 
 
 def test_non_utf8_file_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"seed=\xff\xfe\n")
     with pytest.raises(ConfigError, match="UTF-8"):
-        load_config(path)
+        parse_config(path).validate()
 
 
 def test_missing_equals_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed 9\n")
     with pytest.raises(ConfigError):
-        load_config(path)
+        parse_config(path).validate()
 
 
 @pytest.mark.parametrize("line", [
@@ -68,7 +68,7 @@ def test_out_of_range_values_rejected(tmp_path, line):
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ConfigError):
-        load_config(path)
+        parse_config(path).validate()
 
 
 def test_interval_window_floor_is_what_the_trend_test_needs():

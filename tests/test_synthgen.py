@@ -4,15 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from breathsentinel import dsp, gen_clip, gen_corpus, gen_scenario, load_corpus, synthgen
+from breathsentinel import dsp, gen_clip, gen_corpus, gen_scenario, load_corpus
 from breathsentinel.errors import ConfigError
-from breathsentinel.synthgen import (
-    GroundTruth,
-    ScenarioSpec,
-    _unknown_signal,
-    write_scenario,
-)
-from helpers import truth_from_csv
+from breathsentinel.synthgen import GroundTruth, ScenarioSpec, _unknown_signal
 
 
 def spectral_centroid(clip):
@@ -192,31 +186,6 @@ def test_scenario_deterministic_per_seed():
     b_clip, b_truth = gen_scenario(spec)
     assert np.array_equal(a_clip.samples, b_clip.samples)
     assert a_truth.onsets == b_truth.onsets
-
-
-def test_write_scenario_round_trip(tmp_path):
-    spec = ScenarioSpec(kind="arrest", duration=90.0, onset=45.0, seed=8)
-    wav_path, truth_path = write_scenario(spec, tmp_path / "s.wav", tmp_path / "s.csv")
-    clip = dsp.load_wav(wav_path)
-    assert clip.samples.size == 90 * 8192
-    truth = truth_from_csv(truth_path.read_text())
-    rendered, original = gen_scenario(spec)
-    dsp.write_wav(tmp_path / "rendered.wav", rendered.samples)
-    assert wav_path.read_bytes() == (tmp_path / "rendered.wav").read_bytes()
-    assert truth_path.read_text() == original.to_csv()
-    assert len(truth.onsets) == len(original.onsets)
-    assert truth.onsets[0][1] == original.onsets[0][1]
-    assert truth.onsets[0][0] == pytest.approx(original.onsets[0][0], abs=1e-6)
-
-
-def test_write_scenario_removes_both_files_when_rendering_fails(tmp_path, monkeypatch):
-    def fail(spec):
-        raise MemoryError
-
-    monkeypatch.setattr(synthgen, "gen_scenario", fail)
-    with pytest.raises(MemoryError):
-        write_scenario(ScenarioSpec(kind="normal"), tmp_path / "s.wav", tmp_path / "s.csv")
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_ground_truth_validation():
