@@ -97,8 +97,13 @@ def encode_batch(params: AEParams, x: np.ndarray) -> np.ndarray:
 
 
 def encode(params: AEParams, spectrum: np.ndarray) -> np.ndarray:
-    """Encoder half for one (513,) half spectrum; returns its (50,) latent code."""
-    return encode_batch(params, spectrum[None, :])[0]
+    """Encoder half for one (513,) half spectrum; returns its (50,) latent code.
+
+    Computes in the dtype of the weights: the spectrum is cast to it first,
+    so float32 weights (`params.astype(np.float32)`) give a float32 code.
+    """
+    x = spectrum.astype(params.enc_w1.dtype, copy=False)
+    return encode_batch(params, x[None, :])[0]
 
 
 def reconstruct(params: AEParams, spectrum: np.ndarray) -> tuple[np.ndarray, float]:

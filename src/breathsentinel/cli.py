@@ -95,10 +95,10 @@ def _claimed(*paths):
 
     Append mode: a refused path fails here and an existing file keeps its bytes.
     If the block raises, the files created here are removed. Two outputs naming
-    one file are a ConfigError.
+    one file, through a symlink or a hard link too, are a ConfigError.
     """
     paths = [path for path in paths if path is not None]
-    if len({Path(path).resolve() for path in paths}) < len(paths):
+    if len({_file_identity(path) for path in paths}) < len(paths):
         raise ConfigError(f"{' and '.join(paths)} name one file; give each output its own path")
     created = [Path(path) for path in paths if not Path(path).exists()]
     try:
@@ -109,6 +109,15 @@ def _claimed(*paths):
         for path in created:
             path.unlink(missing_ok=True)
         raise
+
+
+def _file_identity(path):
+    """(device, inode) of an existing file, which its hard links share; else the resolved path."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return Path(path).resolve()
+    return stat.st_dev, stat.st_ino
 
 
 def _format_line(item) -> str:

@@ -7,13 +7,14 @@ order, so one optimizer serves both networks.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFiniteActivation, ShapeMismatch
 
 EPSILON = 1e-8  # keeps the first steps finite where an accumulator is still zero
 
@@ -23,7 +24,9 @@ class Params:
 
     A subclass is a dataclass that declares the fields and `shapes()`, the
     shape each field must have. Construction makes every field a contiguous float64 array
-    and raises ValueError for a wrong shape or a non-finite value.
+    and raises ValueError for a wrong shape or a non-finite value. Training,
+    evaluation and bundles use float64 only; `astype` makes the reduced-precision
+    copy that streaming inference runs on.
     """
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
@@ -39,6 +42,26 @@ class Params:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
+
+    def astype(self, dtype):
+        """A copy with every tensor cast to `dtype`, for forward passes; self is unchanged.
+
+        The copy skips construction, so it keeps `dtype`. A finite value that the
+        cast makes infinite (outside the float32 range, say) raises
+        NonFiniteActivation; a NaN or infinity already present is copied as it
+        is, for the forward pass's own checks to find.
+        """
+        cast = copy.copy(self)
+        for name, arr in self.to_dict().items():
+            with np.errstate(over="ignore"):
+                narrow = np.ascontiguousarray(arr, dtype=dtype)
+            overflow = np.isinf(narrow) & np.isfinite(arr)
+            if overflow.any():
+                largest = float(np.max(np.abs(arr[overflow])))
+                raise NonFiniteActivation(f"weight {name} has a value of magnitude {largest:.3g}, "
+                                          f"outside the {np.dtype(dtype).name} range")
+            setattr(cast, name, narrow)
+        return cast
 
     def to_dict(self) -> dict[str, np.ndarray]:
         """Name -> array view of the live parameter tensors (shared, not copied), in field order."""

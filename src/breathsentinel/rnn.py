@@ -92,7 +92,10 @@ def advance(params: RNNParams, states: np.ndarray, code: np.ndarray) -> np.ndarr
     `states` is (16, hidden): row r is the hidden state of the window that
     has taken r + 1 codes. Every window takes the new code at the same
     step, so row r + 1 becomes tanh(x + row r @ w_hh) and row 0 starts a
-    new window from the zero state. Returns `states`.
+    new window from the zero state. Returns `states`. Computes in the
+    dtype of the weights, which `states` and `code` must share: float32
+    in the monitor, float64 in tests that hold it to the per-window
+    recurrence.
     """
     x = code @ params.w_xh + params.b_h
     pre = states[:-1] @ params.w_hh
@@ -108,7 +111,8 @@ def rnn_forward(params: RNNParams, states: np.ndarray, code: np.ndarray) -> np.n
     After `advance`, row 15 of `states` is the final hidden state of the
     window of the last 16 codes; it alone produces output: three
     independent sigmoid confidences ordered (inhale, exhale, unknown),
-    not a distribution. The same scores as _forward_codes on those codes.
+    not a distribution, in the dtype of the weights. With float64
+    weights, the same scores as _forward_codes on those codes.
     """
     advance(params, states, code)
     scores = _sigmoid(states[-1] @ params.w_hy + params.b_y)

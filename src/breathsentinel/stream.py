@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dsp, rnn
 from .autoencoder import AEParams, encode
-from .errors import BreathSentinelError, OutOfOrderPrediction
+from .errors import BreathSentinelError, NonFiniteActivation, OutOfOrderPrediction
 
 WINDOW_SECONDS = rnn.WINDOW_FRAMES * dsp.FRAME_SECONDS  # 2.0
 
@@ -51,8 +51,18 @@ def infer_stream(ae: AEParams, params: rnn.RNNParams,
     warmup: 2.000 s of audio yields exactly one prediction, 4.000 s yields
     17. Errors from the DSP or model layers are re-raised with the stream
     position attached.
+
+    The encoder and classifier run in float32 on copies of the weights
+    made once per call; `ae` and `params` stay float64 and unchanged. The
+    FFT and normalisation stay float64, and each spectrum is cast to
+    float32 in `encode`. A weight outside the float32 range raises
+    NonFiniteActivation at position 0.
     """
-    states = np.zeros((rnn.WINDOW_FRAMES, params.hidden))
+    try:
+        ae, params = ae.astype(np.float32), params.astype(np.float32)
+    except NonFiniteActivation as exc:
+        raise _at_position(exc, 0.0) from exc
+    states = np.zeros((rnn.WINDOW_FRAMES, params.hidden), dtype=np.float32)
     for index, samples in enumerate(frames):
         start_time = index * dsp.FRAME_SECONDS
         try:
@@ -64,7 +74,12 @@ def infer_stream(ae: AEParams, params: rnn.RNNParams,
                 label, confidence = rnn.classify(rnn.rnn_forward(params, states, code))
                 yield PredictionFrame(end_time=end_time, label=label, confidence=confidence)
         except BreathSentinelError as exc:
-            raise type(exc)(f"at stream position {start_time:.3f} s: {exc}") from exc
+            raise _at_position(exc, start_time) from exc
+
+
+def _at_position(exc: BreathSentinelError, seconds: float) -> BreathSentinelError:
+    """The same error type, its message prefixed with the stream position."""
+    return type(exc)(f"at stream position {seconds:.3f} s: {exc}")
 
 
 class Debouncer:

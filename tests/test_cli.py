@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import io
+import os
 import re
 import tracemalloc
 
@@ -214,15 +215,21 @@ def test_a_refused_output_stops_the_command_before_the_work(key, tiny_corpus_dir
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
 
-def test_two_outputs_naming_one_file_exit_one_and_write_nothing(tmp_path, capsys,
+@pytest.mark.parametrize("truth", ["./same", "hard"], ids=["path", "hard link"])
+def test_two_outputs_naming_one_file_exit_one_and_write_nothing(truth, tmp_path, capsys,
                                                                  monkeypatch):
     monkeypatch.chdir(tmp_path)
+    before = {}
+    if truth == "hard":
+        (tmp_path / "same").write_bytes(b"from an earlier run")
+        os.link(tmp_path / "same", tmp_path / "hard")
+        before = {"hard": b"from an earlier run", "same": b"from an earlier run"}
     assert cli.main(["synth", "scenario", "--kind", "normal", "--duration", "10",
-                     "--out", "same", "--truth", "./same"]) == 1
+                     "--out", "same", "--truth", truth]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: same and ./same name one file; give each output its own path\n"
+    assert captured.err == f"error: same and {truth} name one file; give each output its own path\n"
     assert captured.out == ""
-    assert list(tmp_path.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # (argv, the cli function that fails after the claim, what it raises, the outputs).

@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breathsentinel import dsp
-from breathsentinel.autoencoder import init_ae
+from breathsentinel import cli, dsp, rnn
+from breathsentinel.autoencoder import AEParams, encode, init_ae
 from breathsentinel.config import RunConfig
 from breathsentinel.errors import OutOfOrderPrediction
-from breathsentinel.rnn import init_rnn
+from breathsentinel.model_io import load_model
+from breathsentinel.rnn import RNNParams, init_rnn
 from breathsentinel.stream import (
     BreathEvent,
     Debouncer,
@@ -15,8 +21,11 @@ from breathsentinel.stream import (
     infer_stream,
     match_events,
 )
+from breathsentinel.synthgen import ScenarioSpec, gen_scenario
 
 CFG = RunConfig()
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "perfbench" / "fixture" / "desk_model.bsm"
 
 
 def default_debouncer():
@@ -103,6 +112,100 @@ def test_infer_stream_pulls_one_frame_per_step():
     assert len(pulled) == 16
     next(predictions)
     assert len(pulled) == 17
+
+
+# --- float32 inference against the float64 oracle ---
+
+def per_frame_chain(ae, params, frames):
+    """infer_stream's per-frame chain, in the dtype of the weights given.
+
+    With the float64 weights of a bundle it is the oracle; with their
+    float32 copies it is what infer_stream runs. Returns the (n, 50) codes
+    and the (n - 15, 3) scores.
+    """
+    states = np.zeros((rnn.WINDOW_FRAMES, params.hidden), dtype=params.w_hh.dtype)
+    codes, scores = [], []
+    for index, samples in enumerate(frames):
+        code = encode(ae, dsp.normalize_spectrum(dsp.dfft_magnitude(samples)))
+        codes.append(code)
+        if index + 1 < rnn.WINDOW_FRAMES:
+            rnn.advance(params, states, code)
+        else:
+            scores.append(rnn.rnn_forward(params, states, code))
+    return np.array(codes), np.array(scores)
+
+
+@pytest.fixture(scope="module")
+def fixture_night():
+    """The committed fixture model and the frames of the seed-11 300 s normal night."""
+    clip, _ = gen_scenario(ScenarioSpec(kind="normal", duration=300.0, seed=11))
+    return load_model(FIXTURE), list(dsp.frame_signal(clip))
+
+
+def test_float32_stream_stays_within_1e5_of_the_float64_chain(fixture_night):
+    bundle, frames = fixture_night
+    codes64, scores64 = per_frame_chain(bundle.ae, bundle.rnn, frames)
+    codes32, scores32 = per_frame_chain(bundle.ae.astype(np.float32),
+                                        bundle.rnn.astype(np.float32), frames)
+    assert codes32.dtype == scores32.dtype == np.float32
+    assert codes64.dtype == scores64.dtype == np.float64
+    assert np.max(np.abs(codes32 - codes64)) < 1e-5
+    assert np.max(np.abs(scores32 - scores64)) < 1e-5
+    assert np.array_equal(scores32.argmax(axis=1), scores64.argmax(axis=1))
+    streamed = list(infer_stream(bundle.ae, bundle.rnn, iter(frames)))
+    assert [(p.label, p.confidence) for p in streamed] == [rnn.classify(s) for s in scores32]
+
+
+def test_infer_stream_leaves_the_callers_weights_float64_and_unmodified():
+    ae, params = init_ae(2), init_rnn(2)
+    before = {name: (arr, arr.copy()) for p in (ae, params) for name, arr in p.to_dict().items()}
+    list(infer_stream(ae, params, frames_for(3.0, seed=4)))
+    after = {name: arr for p in (ae, params) for name, arr in p.to_dict().items()}
+    for name, (arr, copy) in before.items():
+        assert after[name] is arr and arr.dtype == np.float64, name
+        assert np.array_equal(arr, copy), name
+
+
+@pytest.mark.parametrize("name", ["enc_w1", "w_hh"])
+def test_a_weight_outside_the_float32_range_fails_with_the_stream_position(name):
+    from breathsentinel.errors import NonFiniteActivation
+
+    ae, params = init_ae(0).to_dict(), init_rnn(0).to_dict()
+    (ae if name in ae else params)[name][1, 2] = -1e39  # finite in float64, infinite in float32
+    expected = f"stream position 0.000 s: weight {name} .* outside the float32 range"
+    with pytest.raises(NonFiniteActivation, match=expected):
+        list(infer_stream(AEParams.from_dict(ae), RNNParams.from_dict(params),
+                          frames_for(3.0, seed=3)))
+
+
+# monitor's stdout, then the sha256 of every confidence it streamed, in full precision
+THREADS_SCRIPT = """
+import hashlib, sys
+from breathsentinel import cli, dsp
+from breathsentinel.model_io import load_model
+from breathsentinel.stream import infer_stream
+model, wav = sys.argv[1:]
+assert cli.main(["monitor", "--model", model, "--input", wav]) == 0
+bundle = load_model(model)
+with open(wav, "rb") as f:
+    streamed = infer_stream(bundle.ae, bundle.rnn, dsp.wav_frames(f, wav))
+    print(hashlib.sha256(repr([(p.label, p.confidence) for p in streamed]).encode()).hexdigest())
+"""
+
+
+def test_monitor_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    wav = tmp_path / "night.wav"
+    assert cli.main(["synth", "scenario", "--kind", "normal", "--duration", "60", "--seed", "11",
+                     "--out", str(wav), "--truth", str(tmp_path / "truth.csv")]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT, str(FIXTURE), str(wav)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count(",inhale\n") > 5
+    assert outputs[0] == outputs[1]
 
 
 # --- debouncing ---
