@@ -25,7 +25,7 @@ from .errors import BreathSentinelError, ConfigError, CorruptModel
 from .model_io import ModelBundle, load_model, save_model
 from .rnn import WINDOW_FRAMES, evaluate, init_rnn, train_rnn
 from .stream import BreathEvent, infer_stream, match_events
-from .synthgen import ScenarioSpec, gen_corpus, gen_scenario
+from .synthgen import SCENARIO_KINDS, ScenarioSpec, gen_corpus, gen_scenario
 from .vigil import Alert, run_detection
 
 EX_OK = 0
@@ -322,8 +322,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser, kind_flag: str) -> None:
-    parser.add_argument(kind_flag, dest="kind", required=True,
-                        choices=("normal", "arrest", "decrement"))
+    parser.add_argument(kind_flag, dest="kind", required=True, choices=SCENARIO_KINDS)
     parser.add_argument("--duration", type=float, help="seconds (default 300 normal, 120 otherwise)")
     parser.add_argument("--onset", type=float)
     parser.add_argument("--base-period", dest="base_period", type=float)

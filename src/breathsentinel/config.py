@@ -6,12 +6,13 @@ command-line flags.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+
+TREND_MIN_INTERVALS = 8  # fewest intervals the trend test runs on; interval_window's floor
 
 
 @dataclass
@@ -44,9 +45,10 @@ class RunConfig:
             ("rnn_hidden", self.rnn_hidden in (50, 75, 100), "must be one of 50, 75, 100"),
             ("confidence", 0.5 <= self.confidence < 1.0, "must be in [0.5, 1.0)"),
             ("run_length", 1 <= self.run_length <= 10, "must be in [1, 10]"),
-            ("interval_window", 8 <= self.interval_window <= 200,
-             "must be in [8, 200]: the trend test needs 8 intervals"),
-            ("trend_alpha", 0.0 < self.trend_alpha < 0.5, "must be in (0, 0.5)"),
+            ("interval_window", TREND_MIN_INTERVALS <= self.interval_window <= 200,
+             f"must be in [{TREND_MIN_INTERVALS}, 200]: fewer intervals silence the trend test"),
+            ("trend_alpha", 0.5 < 1.0 - self.trend_alpha < 1.0,
+             "must leave 1 - trend_alpha in (0.5, 1), the trend quantile's domain"),
             ("ci_level", 0.5 <= self.ci_level <= 0.999, "must be in [0.5, 0.999]"),
             ("refractory", 0.0 <= self.refractory <= 5.0, "must be in [0, 5] seconds"),
         ]
@@ -56,7 +58,7 @@ class RunConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):

@@ -25,6 +25,7 @@ writes format 2.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -90,13 +91,14 @@ def save_model(bundle: ModelBundle, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, path):
         self.data = data
+        self.path = path
         self.pos = 0
 
     def take(self, n: int, context: str) -> bytes:
         if self.pos + n > len(self.data):
-            raise TruncatedFile(f"file ended while reading {context} "
+            raise TruncatedFile(f"{self.path}: file ended while reading {context} "
                                 f"(needed {n} bytes at offset {self.pos})")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
@@ -108,7 +110,7 @@ class _Reader:
 
 def load_model(path) -> ModelBundle:
     """Read a bundle back; tensors come out float64 with exact float32 values."""
-    reader = _Reader(Path(path).read_bytes())
+    reader = _Reader(Path(path).read_bytes(), path)
     magic = reader.take(4, "magic")
     if magic != MAGIC:
         raise BadMagic(f"{path}: magic {magic!r} is not {MAGIC!r}")
@@ -122,10 +124,7 @@ def load_model(path) -> ModelBundle:
         if rank > MAX_RANK:
             raise CorruptModel(f"{path}: tensor {name} has rank {rank}, at most {MAX_RANK}")
         dims = [reader.u32(f"tensor {name} dims") for _ in range(rank)]
-        count = 1
-        for dim in dims:
-            count *= dim
-        raw = reader.take(4 * count, f"tensor {name} values")
+        raw = reader.take(4 * math.prod(dims), f"tensor {name} values")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
 
     meta_len = reader.u32("metadata length")

@@ -33,7 +33,6 @@ from .errors import DivergedLoss, EmptyEvalSet, NonFiniteActivation
 from .optim import AdagradState, Params, adagrad_step, clip_gradients
 
 N_CLASSES = len(dsp.LABELS)
-HIDDEN_DEFAULT = RunConfig.rnn_hidden
 WINDOW_FRAMES = dsp.CLIP_SAMPLES // dsp.FRAME_LEN  # one clip per window
 GRAD_CLIP_NORM = 5.0
 
@@ -58,7 +57,7 @@ class RNNParams(Params):
         return self.w_hh.shape[0]
 
 
-def init_rnn(seed, hidden: int = HIDDEN_DEFAULT) -> RNNParams:
+def init_rnn(seed, hidden: int = RunConfig.rnn_hidden) -> RNNParams:
     """Fan-balanced uniform weights, zero biases, zero initial hidden state."""
     rng = np.random.default_rng(seed)
     return RNNParams(

@@ -11,9 +11,8 @@ filter-design dependency.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +49,11 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
-        for field in dataclasses.fields(self):
-            if field.type == "float" and not math.isfinite(getattr(self, field.name)):
-                raise ConfigError(f"{field.name} must be finite, got {getattr(self, field.name)}")
+        for field in (f for f in fields(self) if f.type == "float"):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
+            object.__setattr__(self, field.name, value + 0.0)  # -0.0 reads as 0.0
         if not 0.0 < self.duration <= MAX_DURATION:
             raise ConfigError(f"duration must be in (0, {MAX_DURATION:g}] s, got {self.duration}")
         if self.base_period < 1.0:
@@ -130,10 +131,10 @@ def _breath_burst(kind: str, rng: np.random.Generator,
 
 def _place(audio: np.ndarray, burst: np.ndarray, t: float) -> bool:
     """Add `burst` to `audio` from `t` seconds on if it starts at or after 0 s and fits whole."""
-    start = int(t * dsp.SAMPLE_RATE)
-    if t < 0.0 or start + burst.size > audio.size:
+    start = t * dsp.SAMPLE_RATE  # fit is decided in float: int() of an infinite time overflows
+    if not 0.0 <= start < audio.size - burst.size + 1:
         return False
-    audio[start:start + burst.size] += burst
+    audio[int(start):int(start) + burst.size] += burst
     return True
 
 

@@ -22,12 +22,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .config import RunConfig
+from .config import TREND_MIN_INTERVALS, RunConfig
 from .errors import DomainError, NonMonotonicTime
 from .stream import BreathEvent, Debouncer, PredictionFrame
 
 ARREST_MIN_INTERVALS = 5
-TREND_MIN_INTERVALS = 8
 ARREST_FLOOR_SECONDS = 0.5
 
 

@@ -90,3 +90,52 @@ def test_worker_hooks_and_tracer_find_every_layer(tmp_path, desk_corpus_dir, des
                  "autoencoder.encode_us_per_frame", "stream.self_us_per_frame",
                  "cli.input_us_per_frame", "autoencoder.epoch_s", "model_io.load_ms"):
         assert metrics[name] > 0, name
+
+
+# perfbench/run.py builds each workload's inputs from the package before any
+# run; this writes them for every workload, as its set-up does.
+SETUP_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, sys.argv[2])
+import run
+run.verify_fixture()
+manifests = {}
+for workload in run.WORKLOADS:
+    work = Path(sys.argv[3]) / workload
+    work.mkdir()
+    manifests[workload] = run.make_inputs(workload, 3, work)[0]
+print(json.dumps(manifests))
+"""
+
+
+def test_the_benchmark_set_up_writes_every_workloads_inputs(tmp_path):
+    done = subprocess.run([sys.executable, "-c", SETUP_SCRIPT, str(PERFBENCH),
+                           str(PERFBENCH.parent / "src"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    manifests = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(manifests) == ["monitor-alarms", "monitor-night", "train-desk"]
+
+    (night,) = manifests["monitor-night"]["ops"]
+    wav = tmp_path / "monitor-night" / "night.wav"
+    assert night["argv"][-1] == str(wav)
+    assert dsp.wav_sample_count(wav) == 1200 * dsp.SAMPLE_RATE
+    assert night["audio_s"] == 1200.0
+    arrest, decrement = manifests["monitor-alarms"]["ops"]
+    for op, seconds in ((arrest, 120), (decrement, 150)):
+        assert (tmp_path / "monitor-alarms" / f"{op['name']}.pcm").stat().st_size \
+            == 2 * seconds * dsp.SAMPLE_RATE
+    for op in (night, arrest, decrement):
+        times = [t for t, _ in op["truth"]]
+        assert times and times == sorted(times), op["name"]
+        assert {kind for _, kind in op["truth"]} == set(dsp.BREATH_KINDS), op["name"]
+    assert max(t for t, _ in arrest["truth"]) < arrest["onset"]
+
+    train_ae, train_rnn = manifests["train-desk"]["ops"]
+    corpus = tmp_path / "train-desk" / "corpus"
+    for label in dsp.LABELS:
+        assert len(list((corpus / label).glob("*.wav"))) == 150, label
+    assert train_ae["argv"][:3] == ["train-ae", "--corpus", str(corpus)]
+    assert train_rnn["argv"][:3] == ["train-rnn", "--corpus", str(corpus)]

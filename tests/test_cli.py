@@ -1,9 +1,13 @@
 import argparse
 import dataclasses
 import io
+import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,11 @@ from breathsentinel.corpus import make_split
 from breathsentinel.errors import DivergedLoss
 from breathsentinel.model_io import ModelBundle, load_model, save_model
 from breathsentinel.rnn import init_rnn
-from breathsentinel.synthgen import ScenarioSpec, gen_scenario
+from breathsentinel.synthgen import SCENARIO_KINDS, ScenarioSpec, gen_scenario
 from helpers import truth_from_csv
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "perfbench" / "fixture" / "desk_model.bsm"
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +144,83 @@ def test_out_of_range_flag_exits_one_with_one_error_line(name, tmp_path, untrain
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert list(tmp_path.iterdir()) == []
+
+
+# Extreme finite values, and both zeros, for every numeric flag: the range checks
+# (RunConfig.validate, ScenarioSpec) are the only limits, so a value either runs
+# to the end or is refused before any output.
+EXTREMES = ["5e-324", "1e-300", "1e-17", "1e300", "1e308", "1.7976931348623157e308", "0", "-0.0"]
+SWEPT_ARGV = {
+    "monitor": ["monitor", "--model", str(FIXTURE), "--input", "{night}"],
+    "synth scenario": ["synth", "scenario", "--kind", "{kind}", "--duration", "20", "--onset", "10",
+                       "--out", "{tmp}/s.wav", "--truth", "{tmp}/s.csv"],
+    "simulate": ["simulate", "--model", str(FIXTURE), "--scenario", "{kind}", "--duration", "20",
+                 "--onset", "10"],
+}
+
+
+def _numeric_flags(parser, command=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _numeric_flags(sub, command + (name,))
+        elif action.type in (int, float) and " ".join(command) in SWEPT_ARGV:
+            yield " ".join(command), action.option_strings[0]
+
+
+SWEPT_FLAGS = sorted(_numeric_flags(cli.build_parser()))
+
+
+@pytest.fixture(scope="module")
+def night_wav(tmp_path_factory):
+    """60 s of normal breathing at seed 11: enough intervals to arm both alarms."""
+    clip, _ = gen_scenario(ScenarioSpec(kind="normal", duration=60.0, onset=30.0, seed=11))
+    path = tmp_path_factory.mktemp("night") / "night.wav"
+    dsp.write_wav(path, clip.samples)
+    return path
+
+
+# runs each argv through cli.main with one BLAS thread, which keeps the many
+# small synthesis FFTs fast; prints [exit code or escaped exception, stdout, stderr]
+SWEEP_SCRIPT = """
+import contextlib, io, json, sys
+from breathsentinel import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = repr(exc)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("command", SWEPT_ARGV)
+def test_an_extreme_flag_value_runs_or_is_refused_before_any_output(command, night_wav,
+                                                                    tmp_path):
+    kinds = ["normal"] if command == "monitor" else SCENARIO_KINDS
+    cases = [(kind, flag, value) for kind in kinds
+             for swept, flag in SWEPT_FLAGS if swept == command for value in EXTREMES]
+    assert cases, f"the parser walk found no numeric flag of {command}"
+    runs = [[arg.format(night=night_wav, kind=kind, tmp=tmp_path) for arg in SWEPT_ARGV[command]]
+            + [flag, value] for kind, flag, value in cases]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    bad = []
+    for (kind, flag, value), (code, out, err) in zip(cases, json.loads(done.stdout)):
+        ran = code in ((0, 2) if command == "simulate" else (0,)) and err == ""
+        refused = code == 1 and out == "" and len(err.splitlines()) == 1 \
+            and err.startswith("error: ")
+        usage = code == 64 and err.startswith("usage: ")
+        if not (ran or refused or usage):
+            bad.append(f"{kind} {flag} {value}: exit {code}, stdout {out[-100:]!r}, "
+                       f"stderr {err[-200:]!r}")
+    assert not bad, "\n".join(bad)
 
 
 def test_a_scenario_error_reads_as_the_spec_states_it(tmp_path, capsys):
@@ -509,7 +593,7 @@ def test_eval_splits_with_the_resolved_seed(file_seed, flag, expected, desk_corp
     assert seeds == [expected]
 
 
-@pytest.mark.parametrize("seed", ["abc", "-3"])
+@pytest.mark.parametrize("seed", ["abc", "-3", pytest.param("9" * 5000, id="5000-digits")])
 def test_eval_rejects_a_malformed_bundle_seed(seed, desk_corpus_dir, tmp_path, capsys):
     model = tmp_path / "bad_seed.bsm"
     save_model(ModelBundle(ae=init_ae(0), rnn=init_rnn(0), metadata={"seed": seed}), model)
@@ -842,6 +926,20 @@ def test_an_untrained_classifier_draws_one_warning(command, untrained_model, bre
     err = warned.err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: "), err
     assert str(untrained) in err[0] and "train-rnn" in err[0]
+
+
+def test_monitor_into_a_closed_pipe_exits_zero_quietly(night_wav):
+    # the reader is gone before the first event line, as with `monitor ... | head -n 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    try:
+        done = subprocess.run([sys.executable, "-m", "breathsentinel.cli", "monitor", "--model",
+                               str(FIXTURE), "--input", str(night_wav)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0 and done.stderr == b""
 
 
 def test_monitor_rejects_a_trend_alpha_the_trend_test_cannot_use(untrained_model,
