@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-TREND_MIN_INTERVALS = 8  # fewest intervals the trend test runs on; interval_window's floor
+TREND_MIN_INTERVALS = 8  # fewest intervals the trend test runs on (vigil); interval_window's floor
 
 
 @dataclass

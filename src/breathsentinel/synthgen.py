@@ -131,8 +131,8 @@ def _breath_burst(kind: str, rng: np.random.Generator,
 
 def _place(audio: np.ndarray, burst: np.ndarray, t: float) -> bool:
     """Add `burst` to `audio` from `t` seconds on if it starts at or after 0 s and fits whole."""
-    start = t * dsp.SAMPLE_RATE  # fit is decided in float: int() of an infinite time overflows
-    if not 0.0 <= start < audio.size - burst.size + 1:
+    start = t * dsp.SAMPLE_RATE  # checked in float: int() of an infinite time overflows
+    if not 0.0 <= start < audio.size - burst.size + 1:  # int(start) + burst.size <= audio.size
         return False
     audio[int(start):int(start) + burst.size] += burst
     return True
