@@ -159,16 +159,19 @@ SWEPT_ARGV = {
 }
 
 
-def _numeric_flags(parser, command=()):
+def _options(parser, command=()):
+    """(subcommand words, argparse action) of every option and argument of every subcommand."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from _numeric_flags(sub, command + (name,))
-        elif action.type in (int, float) and " ".join(command) in SWEPT_ARGV:
-            yield " ".join(command), action.option_strings[0]
+                yield from _options(sub, command + (name,))
+        else:
+            yield " ".join(command), action
 
 
-SWEPT_FLAGS = sorted(_numeric_flags(cli.build_parser()))
+SWEPT_FLAGS = sorted((command, action.option_strings[0])
+                     for command, action in _options(cli.build_parser())
+                     if action.type in (int, float) and command in SWEPT_ARGV)
 
 
 @pytest.fixture(scope="module")
@@ -263,18 +266,10 @@ BLOCKED_OUTPUTS = {
 }
 
 
-def _output_options(parser, command=()):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _output_options(sub, command + (name,))
-        elif action.dest in ("out", "truth", "report"):
-            yield " ".join(command), action.dest
-
-
 def test_every_output_file_option_has_a_blocked_path_case():
     # synth corpus --out names a directory tree, not a file
-    options = set(_output_options(cli.build_parser())) - {("synth corpus", "out")}
+    options = {(command, action.dest) for command, action in _options(cli.build_parser())
+               if action.dest in ("out", "truth", "report")} - {("synth corpus", "out")}
     assert options == set(BLOCKED_OUTPUTS)
 
 
