@@ -71,7 +71,7 @@ def init_ae(seed) -> AEParams:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def _forward(params: AEParams, x: np.ndarray):

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -36,7 +37,17 @@ MATCH_TOLERANCE = 1.0  # seconds between an aligned event and its truth onset in
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 64."""
+    """argparse that reports usage problems with exit code 64.
+
+    A word that spells a negative number, in exponent form too (-1e3,
+    -1E-3, -.5e2), is read as a value, not as an option; the stock pattern
+    of Python 3.11 takes only forms like -5 and -0.5. Subparsers are made
+    of the same class, so every subcommand reads numbers alike.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

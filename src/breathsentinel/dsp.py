@@ -116,7 +116,7 @@ def read_pcm(path) -> np.ndarray:
 
 def pcm_samples(pcm: np.ndarray) -> np.ndarray:
     """16-bit PCM values as float64 samples in [-1, 1]: value / 32768."""
-    return pcm.astype(np.float64) / 32768.0
+    return np.multiply(pcm, 2.0 ** -15, dtype=np.float64)  # exact: 32768 is a power of two
 
 
 def load_wav(path) -> AudioClip:
@@ -200,17 +200,28 @@ def _twiddles(n1: int, n2: int) -> np.ndarray:
     return factors
 
 
-def _fft(x: np.ndarray) -> np.ndarray:
+def _fft(x: np.ndarray, bins: int | None = None) -> np.ndarray:
+    """Four-step transform over the last axis; with `bins`, at least bins 0 .. bins - 1."""
     n = x.shape[-1]
     if n <= _DIRECT_MAX:
         return x @ _dft_matrix(n)
     n1 = min(1 << (n.bit_length() - 1) // 2, _DIRECT_MAX)
     n2 = n // n1
     # x[j1 + n1 j2] sits at [j1, j2]; pass 1 takes the n2-point DFTs along j2
-    cols = _fft(x.reshape(x.shape[:-1] + (n2, n1)).swapaxes(-1, -2))
+    x = x.reshape(x.shape[:-1] + (n2, n1)).swapaxes(-1, -2)
+    if n2 <= _DIRECT_MAX and x.dtype == np.float64:
+        # Real input: one real product with the DFT matrix read as interleaved real
+        # and imaginary parts, at half the arithmetic; viewed as complex, it has the
+        # bits of the complex product. Its n1 >= 8 rows keep it on the matrix-matrix
+        # kernels: for a 1-D transform of 16 or 32 points the two differ in the last bit.
+        cols = (x @ _dft_matrix(n2).view(np.float64)).view(np.complex128)
+    else:
+        cols = _fft(x)
     cols *= _twiddles(n1, n2)
-    # pass 2 takes the n1-point DFTs along j1 and leaves X[n2 k1 + k2] at [k1, k2]
-    return (_dft_matrix(n1) @ cols).reshape(x.shape[:-1] + (n,))
+    # pass 2 takes the n1-point DFTs along j1 and leaves X[n2 k1 + k2] at [k1, k2],
+    # so its first `rows` rows hold bins 0 .. rows n2 - 1
+    rows = n1 if bins is None else min(n1, -(-bins // n2))
+    return (_dft_matrix(n1)[:rows] @ cols).reshape(x.shape[:-2] + (rows * n2,))
 
 
 def fft_radix2(x: np.ndarray) -> np.ndarray:
@@ -223,11 +234,16 @@ def fft_radix2(x: np.ndarray) -> np.ndarray:
     accepted; the complex spectrum is returned (unnormalized forward
     transform, so Parseval reads sum|X|^2 == n * sum|x|^2).
     """
+    return _fft(_power_of_two(x))
+
+
+def _power_of_two(x) -> np.ndarray:
+    """`x` as an array whose last axis has a power-of-two length; else ValueError."""
     x = np.asarray(x)
     n = x.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"FFT length must be a power of two, got {n}")
-    return _fft(x)
+    return x
 
 
 def ifft_radix2(x: np.ndarray) -> np.ndarray:
@@ -240,9 +256,11 @@ def dfft_magnitude(samples: np.ndarray) -> np.ndarray:
     """Raw half magnitude spectrum |X[k]|, k = 0..512, of one (1024,) frame.
 
     Bins 513..1023 of a real frame repeat bins 511..1 (|X[k]| == |X[1024-k]|)
-    and are left out.
+    and are left out: pass 2 runs over the first 17 rows of the 32 x 32 DFT
+    matrix only, which give bins 0..543. Bit for bit the first 513 bins of
+    |fft_radix2(samples)|.
     """
-    return np.abs(fft_radix2(samples)[..., :SPECTRUM_BINS])
+    return np.abs(_fft(_power_of_two(samples), SPECTRUM_BINS)[..., :SPECTRUM_BINS])
 
 
 def normalize_magnitudes(raw: np.ndarray) -> np.ndarray:
@@ -254,7 +272,9 @@ def normalize_magnitudes(raw: np.ndarray) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.size and float(raw.min()) < 0.0:
         raise NegativeMagnitude("magnitude vector contains negative values")
-    return np.clip(np.log1p(raw) / _NORM_DIVISOR, 0.0, 1.0)
+    out = np.log1p(raw)
+    out /= _NORM_DIVISOR
+    return out.clip(0.0, 1.0, out=out)
 
 
 # The same transform under the per-frame name the streaming path calls, so

@@ -121,9 +121,13 @@ def rnn_forward(params: RNNParams, states: np.ndarray, code: np.ndarray) -> np.n
 
 
 def classify(scores: np.ndarray) -> tuple[str, float]:
-    """Argmax label and its confidence; ties resolve to the earliest class."""
-    idx = int(np.argmax(scores))
-    return dsp.LABELS[idx], float(scores[idx])
+    """Argmax label and its confidence; ties resolve to the earliest class.
+
+    The scores are finite: rnn_forward refuses any others.
+    """
+    values = scores.tolist()
+    idx = values.index(max(values))  # max keeps the first of equal values
+    return dsp.LABELS[idx], values[idx]
 
 
 def bce_loss(scores: np.ndarray, target: np.ndarray) -> float:

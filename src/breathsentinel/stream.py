@@ -10,6 +10,7 @@ pull, outside the stream-position wrapper.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from statistics import median
 from typing import Iterable, Iterator
@@ -177,8 +178,9 @@ def match_events(events: list[BreathEvent], truth_onsets, tolerance: float,
             continue
         deltas = []
         for et in times:
-            nearest = min(truths, key=lambda t: abs(t - et))
-            deltas.append(nearest - et)
+            # the nearest truth neighbours et; on a tie the left one, as min() picks the first
+            i = bisect_left(truths, et)
+            deltas.append(min((t - et for t in truths[max(i - 1, 0):i + 1]), key=abs))
         leads.extend(deltas)
         lead = median(deltas) if align else 0.0
         i = j = 0

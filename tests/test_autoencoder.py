@@ -102,6 +102,22 @@ def test_sigmoid_matches_the_masked_form():
     assert ae._sigmoid(z).shape == z.shape
 
 
+def two_branch_sigmoid(z):
+    """1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|), as two divisions."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_has_the_bits_of_the_two_branch_formula(dtype):
+    rng = np.random.default_rng(19)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -88.0, 800.0, -800.0, 1e-30, -1e-30]
+    z = np.concatenate([rng.normal(0, 10, 20000), specials]).astype(dtype)
+    got, expected = ae._sigmoid(z), two_branch_sigmoid(z)
+    assert got.dtype == expected.dtype == dtype
+    assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
+
+
 def test_reconstruction_stays_in_unit_interval():
     params = ae.init_ae(7)
     recon, mse = ae.reconstruct(params, random_frame(3))

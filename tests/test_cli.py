@@ -226,6 +226,24 @@ def test_an_extreme_flag_value_runs_or_is_refused_before_any_output(command, nig
     assert not bad, "\n".join(bad)
 
 
+@pytest.mark.parametrize("command", ["synth scenario", "simulate"])
+def test_a_negative_exponent_value_reads_alike_after_a_space_or_an_equals_sign(command,
+                                                                               tmp_path):
+    base = [arg.format(kind="arrest", tmp=tmp_path) for arg in SWEPT_ARGV[command]]
+    cases = [(flag, value) for flag in ("--onset", "--jitter-sd")
+             for value in ("-1e3", "-1E-3", "-.5e2")]
+    runs = [argv for flag, value in cases
+            for argv in (base + [flag, value], base + [f"{flag}={value}"])]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    for (flag, value), spaced, joined in zip(cases, results[::2], results[1::2]):
+        assert spaced == joined, (flag, value)
+        assert spaced[0] != 64, (flag, value, spaced[2])
+
+
 def test_a_scenario_error_reads_as_the_spec_states_it(tmp_path, capsys):
     argv = OUT_OF_RANGE["onset-after-duration"] + ["--out", str(tmp_path / "s.wav"),
                                                    "--truth", str(tmp_path / "s.csv")]

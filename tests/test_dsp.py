@@ -1,6 +1,10 @@
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 
 from breathsentinel import dsp
 from breathsentinel.errors import EmptyClip, NegativeMagnitude, NotWav, UnsupportedFormat
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def naive_dft(x):
@@ -29,6 +35,12 @@ def naive_dft(x):
     return out
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, and a NaN equals itself."""
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))
+
+
 # --- WAV loading ---
 
 def test_load_silent_two_second_wav(tmp_path):
@@ -45,6 +57,11 @@ def test_load_wav_scaling_extremes(tmp_path):
     clip = dsp.load_wav(path)
     assert clip.samples[0] == -1.0
     assert clip.samples[1] == 32767 / 32768.0  # 0.999969482421875
+
+
+def test_pcm_samples_divide_every_16_bit_value_by_32768():
+    pcm = np.arange(-32768, 32768).astype("<i2")
+    assert same_bits(dsp.pcm_samples(pcm), pcm.astype(np.float64) / 32768)
 
 
 def test_load_wav_rejects_bad_magic(tmp_path):
@@ -216,6 +233,36 @@ def test_dfft_magnitude_is_the_half_spectrum():
     assert np.array_equal(mags, np.abs(dsp.fft_radix2(x))[:513])
 
 
+@pytest.mark.parametrize("shape", ["1-D", "(3, n)"])
+def test_real_input_fft_has_the_bits_of_the_complex_input_fft(shape):
+    rng = np.random.default_rng(37)
+    for p in range(6, 17):
+        n = 2**p
+        x = rng.uniform(-1, 1, n if shape == "1-D" else (3, n))
+        assert same_bits(dsp.fft_radix2(x), dsp.fft_radix2(x + 0j)), n
+
+
+# dfft_magnitude stops pass 2 at row 17; prints whether its bins equal |fft_radix2|[:513]
+HALF_SPECTRUM_SCRIPT = """
+import numpy as np
+from breathsentinel import dsp
+frames = np.random.default_rng(23).uniform(-1, 1, (40, 1024))
+full = np.abs(dsp.fft_radix2(frames))[:, :513]
+rows = np.stack([dsp.dfft_magnitude(frame) for frame in frames])
+same = lambda a, b: a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+print(same(rows, full), same(dsp.dfft_magnitude(frames), full))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dfft_magnitude_has_the_bits_of_the_full_transform(threads):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+    done = subprocess.run([sys.executable, "-c", HALF_SPECTRUM_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
+
+
 def test_fft_matches_naive_dft_oracle():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -323,6 +370,16 @@ def test_normalize_fixed_points():
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(math.log(32) / math.log(1025), abs=1e-12)
     assert out[2] == 0.0
+
+
+def test_normalize_has_the_bits_of_the_clipped_formula():
+    rng = np.random.default_rng(41)
+    raw = np.concatenate([rng.uniform(0, 3000, 2000),
+                          [-0.0, 0.0, 1024.0, 1025.0, 5e-324, 1e308, np.inf, np.nan]])
+    expected = np.clip(np.log1p(raw) / math.log1p(1024.0), 0.0, 1.0)
+    out = dsp.normalize_magnitudes(raw)
+    assert same_bits(out, expected)
+    assert math.copysign(1.0, out[2000]) == -1.0  # -0.0 keeps its sign
 
 
 def test_normalize_rejects_negative():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import median
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from breathsentinel.rnn import RNNParams, init_rnn
 from breathsentinel.stream import (
     BreathEvent,
     Debouncer,
+    MatchReport,
     PredictionFrame,
     infer_stream,
     match_events,
@@ -334,3 +336,48 @@ def test_match_events_kind_sensitive():
     report = match_events(events, truth, tolerance=1.0)
     assert report.matched == 0
     assert report.false_positives == 1
+
+
+def nearest_by_scan(events, truth_onsets, tolerance, align=True):
+    """match_events with each event's nearest truth found by a scan of every truth."""
+    matched, leads = 0, []
+    for kind in dsp.BREATH_KINDS:
+        truths = sorted(t for t, k in truth_onsets if k == kind)
+        times = sorted(e.time for e in events if e.kind == kind)
+        if not times or not truths:
+            continue
+        deltas = [min(truths, key=lambda t: abs(t - et)) - et for et in times]
+        leads.extend(deltas)
+        lead = median(deltas) if align else 0.0
+        i = j = 0
+        while i < len(truths) and j < len(times):
+            diff = (times[j] + lead) - truths[i]
+            if abs(diff) <= tolerance:
+                matched, i, j = matched + 1, i + 1, j + 1
+            elif diff < -tolerance:
+                j += 1
+            else:
+                i += 1
+    return MatchReport(
+        truth_count=len(truth_onsets), event_count=len(events), matched=matched,
+        false_positives=len(events) - matched,
+        recall=matched / len(truth_onsets) if truth_onsets else 0.0,
+        median_lead=float(median(leads)) if leads else 0.0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_match_events_equals_the_scan_of_every_truth(seed):
+    rng = np.random.default_rng(seed)
+    # quarter-second grids make exact ties between two truths common, and
+    # drawing with replacement makes duplicate truths and events
+    def draw():
+        size = rng.integers(0, 60)
+        times = rng.integers(0, 400, size) * 0.25
+        return zip(times.tolist(), rng.choice(dsp.BREATH_KINDS, size).tolist())
+
+    truth = list(draw())
+    # an event halfway between two truths (+0.125) is an exact tie
+    events = [BreathEvent(t + rng.choice([0.0, 0.125, 0.1]), k) for t, k in draw()]
+    for align in (True, False):
+        assert match_events(events, truth, 0.5, align) == \
+            nearest_by_scan(events, truth, 0.5, align)
